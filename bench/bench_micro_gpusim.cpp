@@ -103,7 +103,9 @@ BENCHMARK(BM_WorkloadGeneration)->Arg(1024)->Arg(8192);
 
 // Host-side cost of simulating one GPU thread (coroutine create/resume,
 // counter updates, one atomic) — the figure that determines how long the
-// paper-scale sweeps take on this machine.
+// paper-scale sweeps take on this machine. range(0) is the block side: 10
+// is test1's ROI (100 threads, 4 warps, the last one partial), 32 the
+// largest ROI of test2 (1024 threads, 32 full warps).
 void BM_FunctionalEngineThreadCost(benchmark::State& state) {
   gs::Device device(gs::DeviceSpec::gtx480());
   auto image = device.malloc<float>(1 << 16);
@@ -118,7 +120,8 @@ void BM_FunctionalEngineThreadCost(benchmark::State& state) {
                    shared.get(0));
     co_return;
   };
-  const gs::LaunchConfig config{gs::Dim3(64), gs::Dim3(10, 10)};
+  const auto side = static_cast<std::uint32_t>(state.range(0));
+  const gs::LaunchConfig config{gs::Dim3(64), gs::Dim3(side, side)};
   for (auto _ : state) {
     benchmark::DoNotOptimize(device.launch(config, kernel));
   }
@@ -126,7 +129,59 @@ void BM_FunctionalEngineThreadCost(benchmark::State& state) {
                           static_cast<std::int64_t>(config.total_threads()));
   device.free(image);
 }
-BENCHMARK(BM_FunctionalEngineThreadCost);
+BENCHMARK(BM_FunctionalEngineThreadCost)->Arg(10)->Arg(32);
+
+// The adaptive kernel's shape: thread 0 stages four floats in shared
+// memory, every thread reads them back after the barrier, takes a boundary
+// branch, fetches one texel through its SM's texture cache and accumulates
+// it with an atomic. range(0) is the block side, as above.
+void BM_FunctionalEngineTextureThreadCost(benchmark::State& state) {
+  gs::Device device(gs::DeviceSpec::gtx480());
+  const auto side = static_cast<std::uint32_t>(state.range(0));
+  constexpr int kBins = 16;
+  const int width = static_cast<int>(side);
+  const int height = kBins * width;
+  auto table = device.malloc<float>(static_cast<std::size_t>(width) *
+                                    static_cast<std::size_t>(height));
+  device.memset_zero(table);
+  const gs::TextureHandle lut =
+      device.bind_texture_2d(table, width, height, gs::AddressMode::kClamp);
+  auto image = device.malloc<float>(1 << 16);
+  device.memset_zero(image);
+  auto kernel = [&image, lut, side](gs::ThreadCtx& ctx) -> gs::ThreadProgram {
+    auto shared = ctx.shared_array<float>(4);
+    if (ctx.thread_linear() == 0) {
+      shared.set(0, static_cast<float>(ctx.block_linear() % kBins));
+      shared.set(1, static_cast<float>(ctx.block_linear() * 7 % 200));
+      shared.set(2, static_cast<float>(ctx.block_linear() * 13 % 200));
+      shared.set(3, 1.0f);
+    }
+    co_await ctx.syncthreads();
+    const auto bin = static_cast<int>(shared.get(0));
+    const auto x = static_cast<std::uint64_t>(shared.get(1)) +
+                   ctx.thread_idx().x;
+    const auto y = static_cast<std::uint64_t>(shared.get(2)) +
+                   ctx.thread_idx().y;
+    const float weight = shared.get(3);
+    ctx.count_flops(8);
+    ctx.branch(0, x < 256 && y < 256);
+    const float value = ctx.tex2d(
+        lut, static_cast<int>(ctx.thread_idx().x),
+        bin * static_cast<int>(side) + static_cast<int>(ctx.thread_idx().y));
+    ctx.atomic_add(image, (y * 256 + x) & 0xffff, value * weight);
+    co_return;
+  };
+  const gs::LaunchConfig config{gs::Dim3(64), gs::Dim3(side, side)};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(device.launch(config, kernel));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(config.total_threads()));
+  device.unbind_texture(lut);
+  device.free(image);
+  device.free(table);
+}
+BENCHMARK(BM_FunctionalEngineTextureThreadCost)->Arg(10)->Arg(32);
 
 // The same kernel with the sanitizer armed — the on/off delta is the
 // instrumentation cost documented in docs/gpusim.md. range(0) selects the

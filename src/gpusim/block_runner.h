@@ -13,7 +13,9 @@
 // every affected block rather than dying on the first.
 #pragma once
 
+#include <exception>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gpusim/launch_state.h"
@@ -24,16 +26,35 @@ namespace starsim::gpusim {
 
 namespace detail {
 
+/// Storage one OS thread reuses for every block it runs: the block state,
+/// the thread contexts and the coroutine handles. Reused across launches
+/// too, so a steady-state block allocates nothing but what its kernel does.
+struct BlockScratch {
+  BlockState block;
+  std::vector<ThreadCtx> ctxs;
+  std::vector<ThreadProgram::Handle> handles;
+};
+
+inline BlockScratch& block_scratch() {
+  thread_local BlockScratch scratch;
+  return scratch;
+}
+
 /// RAII guard over the raw coroutine handles of a block so an exception
 /// mid-run (kernel error or barrier-contract violation) cannot leak frames.
+/// A retired (finished) thread's handle is null.
 class HandleSet {
  public:
-  explicit HandleSet(std::size_t count) : handles_(count) {}
+  HandleSet(std::vector<ThreadProgram::Handle>& handles, std::size_t count)
+      : handles_(handles) {
+    handles_.assign(count, ThreadProgram::Handle{});
+  }
   HandleSet(const HandleSet&) = delete;
   HandleSet& operator=(const HandleSet&) = delete;
   ~HandleSet() {
     for (ThreadProgram::Handle& handle : handles_) {
       if (handle) handle.destroy();
+      handle = {};
     }
   }
 
@@ -46,7 +67,7 @@ class HandleSet {
   }
 
  private:
-  std::vector<ThreadProgram::Handle> handles_;
+  std::vector<ThreadProgram::Handle>& handles_;
 };
 
 }  // namespace detail
@@ -57,39 +78,55 @@ class HandleSet {
 template <typename KernelFn>
 void run_block(LaunchState& launch, const Dim3& block_idx,
                const KernelFn& kernel) {
-  BlockState block(launch, block_idx);
-  const std::size_t thread_count =
-      static_cast<std::size_t>(launch.config.block.count());
+  detail::BlockScratch& scratch = detail::block_scratch();
+  BlockState& block = scratch.block;
+  block.begin(launch, block_idx);
+  const Dim3& dim = launch.config.block;
+  const std::size_t thread_count = static_cast<std::size_t>(dim.count());
+  const auto warp_size = static_cast<std::uint32_t>(launch.spec->warp_size);
 
-  std::vector<ThreadCtx> ctxs;
+  // Kernels hold references to their ThreadCtx: reserve first so no
+  // emplace_back below can move one.
+  std::vector<ThreadCtx>& ctxs = scratch.ctxs;
+  ctxs.clear();
   ctxs.reserve(thread_count);
-  detail::HandleSet handles(thread_count);
-  for (std::size_t t = 0; t < thread_count; ++t) {
-    ctxs.emplace_back(&block, launch.config.block.delinearize(t));
-    handles[t] = kernel(ctxs[t]).release();
+  detail::HandleSet handles(scratch.handles, thread_count);
+  std::uint32_t t = 0;
+  std::uint32_t warp = 0;
+  std::uint32_t lane = 0;
+  for (std::uint32_t z = 0; z < dim.z; ++z) {
+    for (std::uint32_t y = 0; y < dim.y; ++y) {
+      for (std::uint32_t x = 0; x < dim.x; ++x, ++t) {
+        ctxs.emplace_back(&block, Dim3(x, y, z), t, warp);
+        handles[t] = kernel(ctxs[t]).release();
+        if (++lane == warp_size) {
+          lane = 0;
+          ++warp;
+        }
+      }
+    }
   }
 
-  std::vector<bool> done(thread_count, false);
-  std::size_t done_count = 0;
-  while (done_count < thread_count) {
+  std::size_t live = thread_count;
+  while (live > 0) {
     std::size_t suspended = 0;
     std::size_t finished_this_pass = 0;
     std::size_t first_waiting = thread_count;  // a thread at the barrier
-    for (std::size_t t = 0; t < thread_count; ++t) {
-      if (done[t]) continue;
-      handles[t].resume();
-      if (handles[t].done()) {
-        std::exception_ptr exception = handles[t].promise().exception;
-        handles.retire(t);
-        done[t] = true;
-        ++done_count;
+    for (std::size_t i = 0; i < thread_count; ++i) {
+      ThreadProgram::Handle& handle = handles[i];
+      if (!handle) continue;  // retired
+      handle.resume();
+      if (handle.done()) {
+        std::exception_ptr exception = std::move(handle.promise().exception);
+        handles.retire(i);
+        --live;
         ++finished_this_pass;
         if (exception) std::rethrow_exception(exception);
       } else {
-        STARSIM_REQUIRE(ctxs[t].at_barrier(),
+        STARSIM_REQUIRE(ctxs[i].at_barrier(),
                         "thread suspended outside a barrier");
-        ctxs[t].clear_barrier();
-        if (first_waiting == thread_count) first_waiting = t;
+        ctxs[i].clear_barrier();
+        if (first_waiting == thread_count) first_waiting = i;
         ++suspended;
       }
     }
@@ -99,7 +136,7 @@ void run_block(LaunchState& launch, const Dim3& block_idx,
             "__syncthreads divergence in block " + to_string(block_idx) +
             ": " + std::to_string(suspended) + " thread(s) at the barrier, " +
             std::to_string(finished_this_pass) + " exited without it";
-        if (sanitizer_enabled(launch.sanitize, SanitizerMode::kSynccheck)) {
+        if (sanitizer_enabled(block.sanitize, SanitizerMode::kSynccheck)) {
           SanitizerFinding finding;
           finding.kind = SanitizerFindingKind::kBarrierDivergence;
           finding.block = block_idx;

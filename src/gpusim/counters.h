@@ -29,8 +29,7 @@ struct KernelCounters {
   std::uint64_t global_bytes_written = 0;
   /// Memory transactions after warp-level coalescing: accesses issued by
   /// the threads of a warp at the same program point that fall in the same
-  /// 128-byte segment are serviced together (zero when warp-access
-  /// tracking is disabled).
+  /// 128-byte segment are serviced together.
   std::uint64_t global_transactions = 0;
 
   // On-chip shared memory.
@@ -38,12 +37,12 @@ struct KernelCounters {
   std::uint64_t shared_writes = 0;
   /// Extra serialized passes caused by warp-simultaneous accesses to
   /// *distinct* addresses in the same bank (same-address broadcasts are
-  /// free, as on real hardware). Zero when tracking is disabled.
+  /// free, as on real hardware).
   std::uint64_t shared_bank_conflicts = 0;
 
   // Atomic read-modify-write operations on global memory, and how many of
   // them landed on an address some other atomic in the same launch also
-  // touched (exact count from per-address shadow counters).
+  // touched (exact: atomic_ops minus the distinct addresses touched).
   std::uint64_t atomic_ops = 0;
   std::uint64_t atomic_conflicts = 0;
 

@@ -15,8 +15,6 @@ Device::Device(DeviceSpec spec)
                             spec_.texture_cache_line_bytes,
                             spec_.texture_cache_associativity);
   }
-  sm_cache_mutexes_ =
-      std::make_unique<std::mutex[]>(static_cast<std::size_t>(spec_.sm_count));
 #ifdef _OPENMP
   parallel_blocks_ = true;
 #endif

@@ -15,6 +15,7 @@
 // overhead" that the paper's evaluation revolves around.
 #pragma once
 
+#include <atomic>
 #include <cstring>
 #include <memory>
 #include <mutex>
@@ -230,7 +231,9 @@ class Device {
   // --- Execution -------------------------------------------------------------------
   /// Launch `kernel` over `config`. The kernel is any callable
   /// `ThreadProgram(ThreadCtx&)`. Blocks run concurrently across host
-  /// threads when parallel_blocks() is enabled (OpenMP builds only).
+  /// threads when parallel_blocks() is enabled (OpenMP builds only); their
+  /// float atomics and texture-cache lookups are committed in block order,
+  /// so the memory, counters and timing equal a serial launch's.
   template <typename KernelFn>
   LaunchResult launch(const LaunchConfig& config, const KernelFn& kernel) {
     return launch_sanitized(config, kernel, sanitize_);
@@ -248,29 +251,33 @@ class Device {
     LaunchState state;
     state.spec = &spec_;
     state.config = config;
-    state.parallel_blocks = parallel_blocks_;
-    state.track_warp_access = track_warp_access_;
     state.sanitize = mode;
     state.textures = &textures_;
     state.sm_caches = &sm_caches_;
-    state.sm_cache_mutexes = sm_cache_mutexes_.get();
 
     const std::uint64_t block_count = config.total_blocks();
 #ifdef _OPENMP
     if (parallel_blocks_) {
+      state.parallel_blocks = true;
+      commit_->begin(&sm_caches_);
+      // Blocks are claimed in index order, so the block the commit waits
+      // for is always running somewhere.
+      std::atomic<std::uint64_t> next_block{0};
       std::exception_ptr first_error;
       std::mutex error_mutex;
-#pragma omp parallel for schedule(dynamic, 8)
-      for (long long b = 0; b < static_cast<long long>(block_count); ++b) {
+#pragma omp parallel
+      for (;;) {
+        const std::uint64_t b = next_block.fetch_add(1);
+        if (b >= block_count) break;
         try {
-          run_block(state,
-                    config.grid.delinearize(static_cast<std::uint64_t>(b)),
-                    kernel);
+          run_block(state, config.grid.delinearize(b), kernel);
         } catch (...) {
           const std::lock_guard<std::mutex> lock(error_mutex);
           if (!first_error) first_error = std::current_exception();
         }
+        commit_->submit(b, detail::block_scratch().block.effects);
       }
+      commit_->finish(state.totals);
       if (first_error) std::rethrow_exception(first_error);
     } else
 #endif
@@ -280,7 +287,8 @@ class Device {
       }
     }
 
-    state.totals.atomic_conflicts = state.total_atomic_conflicts();
+    state.totals.atomic_conflicts =
+        state.totals.atomic_ops - state.atomic_addresses_touched();
     LaunchResult result{config, state.totals,
                         estimate_kernel_time(spec_, config, state.totals)};
     if (span.armed()) [[unlikely]] {
@@ -342,20 +350,11 @@ class Device {
     return sm_caches_;
   }
 
-  /// Enable/disable concurrent block execution (effective in OpenMP builds;
-  /// serial execution is fully deterministic, including cache statistics).
+  /// Enable/disable concurrent block execution (effective in OpenMP builds).
+  /// Either way a launch is deterministic: the same memory, counters and
+  /// cache statistics on any number of threads.
   void set_parallel_blocks(bool enabled) { parallel_blocks_ = enabled; }
   [[nodiscard]] bool parallel_blocks() const { return parallel_blocks_; }
-
-  /// Enable/disable warp-level access grouping (bank-conflict and
-  /// coalescing counters). On by default; disabling speeds up functional
-  /// execution slightly and zeroes those two counters.
-  void set_warp_access_tracking(bool enabled) {
-    track_warp_access_ = enabled;
-  }
-  [[nodiscard]] bool warp_access_tracking() const {
-    return track_warp_access_;
-  }
 
  private:
   void validate_launch(const LaunchConfig& config) const;
@@ -364,13 +363,14 @@ class Device {
   DeviceMemoryManager memory_;
   std::vector<std::optional<Texture2D>> textures_;
   std::vector<SetAssociativeCache> sm_caches_;
-  std::unique_ptr<std::mutex[]> sm_cache_mutexes_;
+  /// In-order commit of parallel blocks' effects, reused across launches.
+  std::unique_ptr<BlockCommitQueue> commit_ =
+      std::make_unique<BlockCommitQueue>();
   TransferStats transfers_;
   FaultInjector* fault_injector_ = nullptr;  // non-owning, may be null
   std::optional<LaunchResult> last_launch_;
   std::size_t launch_count_ = 0;
   bool parallel_blocks_ = false;
-  bool track_warp_access_ = true;
   bool pinned_transfers_ = false;
   SanitizerMode sanitize_ = SanitizerMode::kOff;
   SanitizerReport sanitizer_report_;

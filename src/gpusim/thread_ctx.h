@@ -39,10 +39,10 @@ class SharedArray {
   [[nodiscard]] std::size_t size() const { return count_; }
 
   /// Counted read of element `i`.
-  [[nodiscard]] T get(std::size_t i) const;
+  [[nodiscard, gnu::always_inline]] T get(std::size_t i) const;
 
   /// Counted write of element `i`.
-  void set(std::size_t i, T value) const;
+  [[gnu::always_inline]] void set(std::size_t i, T value) const;
 
  private:
   friend class ThreadCtx;
@@ -66,13 +66,14 @@ class SharedArray {
 
 class ThreadCtx {
  public:
-  ThreadCtx(BlockState* block, const Dim3& thread_idx)
-      : block_(block), thread_idx_(thread_idx) {
-    linear_thread_ = static_cast<std::uint32_t>(
-        block->launch->config.block.linear(thread_idx));
-    warp_id_ = linear_thread_ /
-               static_cast<std::uint32_t>(block->launch->spec->warp_size);
-  }
+  /// Thread `thread_idx` of `block`, whose linear index within the block is
+  /// `linear` and whose warp is `warp`.
+  ThreadCtx(BlockState* block, const Dim3& thread_idx, std::uint32_t linear,
+            std::uint32_t warp)
+      : block_(block),
+        thread_idx_(thread_idx),
+        linear_thread_(linear),
+        warp_id_(warp) {}
 
   ThreadCtx(const ThreadCtx&) = delete;
   ThreadCtx& operator=(const ThreadCtx&) = delete;
@@ -102,28 +103,29 @@ class ThreadCtx {
   /// Counted transcendentals (software fp64 on the modeled device).
   double exp(double x) {
     block_->counters.flops +=
-        static_cast<std::uint64_t>(block_->launch->spec->exp_flop_equiv);
+        static_cast<std::uint64_t>(block_->spec->exp_flop_equiv);
     return std::exp(x);
   }
   double pow(double base, double exponent) {
     block_->counters.flops +=
-        static_cast<std::uint64_t>(block_->launch->spec->pow_flop_equiv);
+        static_cast<std::uint64_t>(block_->spec->pow_flop_equiv);
     return std::pow(base, exponent);
   }
   double sqrt(double x) {
     block_->counters.flops +=
-        static_cast<std::uint64_t>(block_->launch->spec->sqrt_flop_equiv);
+        static_cast<std::uint64_t>(block_->spec->sqrt_flop_equiv);
     return std::sqrt(x);
   }
   double erf(double x) {
     block_->counters.flops +=
-        static_cast<std::uint64_t>(block_->launch->spec->erf_flop_equiv);
+        static_cast<std::uint64_t>(block_->spec->erf_flop_equiv);
     return std::erf(x);
   }
 
   // --- Global memory ----------------------------------------------------------
   template <typename T>
-  [[nodiscard]] T load(const DevicePtr<T>& ptr, std::size_t i) {
+  [[nodiscard, gnu::always_inline]] T load(const DevicePtr<T>& ptr,
+                                           std::size_t i) {
     if (sanitizing()) [[unlikely]] {
       if (!memcheck_global(ptr, i, /*is_write=*/false)) return T{};
     }
@@ -135,7 +137,8 @@ class ThreadCtx {
   }
 
   template <typename T>
-  void store(const DevicePtr<T>& ptr, std::size_t i, T value) {
+  [[gnu::always_inline]] void store(const DevicePtr<T>& ptr, std::size_t i,
+                                    T value) {
     if (sanitizing()) [[unlikely]] {
       if (!memcheck_global(ptr, i, /*is_write=*/true)) return;
     }
@@ -146,9 +149,16 @@ class ThreadCtx {
     ptr.raw()[i] = value;
   }
 
-  /// atomicAdd on a float in global memory: thread-safe across concurrently
-  /// executing blocks, with exact per-address conflict accounting.
-  float atomic_add(const DevicePtr<float>& ptr, std::size_t i, float value) {
+  /// atomicAdd on a float in global memory, with exact per-address
+  /// conflict accounting (the first op on an element sets its bit in the
+  /// launch's touch bitmap; see LaunchState). A serial block adds in place
+  /// and returns the previous value. A parallel block stages the add for
+  /// the in-order commit (see BlockCommitQueue), so the element ends as in
+  /// a serial launch; the value it returns is the element as committed so
+  /// far, which, like the value CUDA returns under concurrent blocks,
+  /// depends on scheduling.
+  [[gnu::always_inline]] float atomic_add(const DevicePtr<float>& ptr,
+                                          std::size_t i, float value) {
     if (sanitizing()) [[unlikely]] {
       if (!memcheck_global(ptr, i, /*is_write=*/true)) return 0.0f;
     }
@@ -156,16 +166,16 @@ class ThreadCtx {
     ++block_->counters.atomic_ops;
     block_->counters.global_bytes_read += sizeof(float);
     block_->counters.global_bytes_written += sizeof(float);
-    std::atomic<std::uint32_t>* shadow = shadow_counts(ptr);
-    shadow[i].fetch_add(1, std::memory_order_relaxed);
+    std::atomic<std::uint64_t>& word =
+        block_->touched_bits(ptr.allocation_id(), ptr.size())[i / 64];
+    const std::uint64_t bit = std::uint64_t{1} << (i % 64);
+    if ((word.load(std::memory_order_relaxed) & bit) == 0) {
+      word.fetch_or(bit, std::memory_order_relaxed);
+    }
     float* target = ptr.raw() + i;
-    if (block_->launch->parallel_blocks) {
-      std::atomic_ref<float> cell(*target);
-      float expected = cell.load(std::memory_order_relaxed);
-      while (!cell.compare_exchange_weak(expected, expected + value,
-                                         std::memory_order_relaxed)) {
-      }
-      return expected;
+    if (block_->parallel_blocks) {
+      block_->effects.adds.push_back({target, value});
+      return std::atomic_ref<float>(*target).load(std::memory_order_relaxed);
     }
     const float previous = *target;
     *target = previous + value;
@@ -182,49 +192,44 @@ class ThreadCtx {
     const std::size_t bytes = count * sizeof(T);
     auto& allocs = block_->shared_allocs;
     const std::size_t slot = shared_cursor_++;
-    if (slot < allocs.size()) {
+    if (slot < block_->shared_count) {
       STARSIM_REQUIRE(allocs[slot].bytes == bytes,
                       "shared_array sequence mismatch across threads");
       return SharedArray<T>(reinterpret_cast<T*>(allocs[slot].data.get()),
                             count, allocs[slot].base_offset, slot, this);
     }
-    STARSIM_REQUIRE(slot == allocs.size(),
+    STARSIM_REQUIRE(slot == block_->shared_count,
                     "shared_array sequence mismatch across threads");
-    BlockState::SharedAlloc alloc;
-    alloc.base_offset = block_->shared_used;
+    const std::size_t base_offset = block_->shared_used;
     block_->shared_used += bytes;
     STARSIM_REQUIRE(
-        block_->shared_used <= block_->launch->spec->shared_memory_per_block,
+        block_->shared_used <= block_->spec->shared_memory_per_block,
         "shared memory per block exceeded");
-    alloc.data = std::make_unique<std::byte[]>(bytes);
+    if (slot == allocs.size()) allocs.emplace_back();
+    BlockState::SharedAlloc& alloc = allocs[slot];
+    if (alloc.capacity < bytes) {
+      alloc.data = std::make_unique<std::byte[]>(bytes);
+      alloc.capacity = bytes;
+    }
     std::fill_n(alloc.data.get(), bytes, std::byte{0});
     alloc.bytes = bytes;
-    allocs.push_back(std::move(alloc));
-    return SharedArray<T>(reinterpret_cast<T*>(allocs.back().data.get()),
-                          count, allocs.back().base_offset, slot, this);
+    alloc.base_offset = base_offset;
+    alloc.race.clear();
+    ++block_->shared_count;
+    return SharedArray<T>(reinterpret_cast<T*>(alloc.data.get()), count,
+                          base_offset, slot, this);
   }
 
   // --- Texture ----------------------------------------------------------------
-  /// Nearest-sample fetch through the block's SM texture cache.
-  float tex2d(TextureHandle handle, int x, int y) {
-    if (sanitizer_enabled(block_->launch->sanitize, SanitizerMode::kMemcheck))
+  /// Nearest-sample fetch through the block's SM texture cache. A parallel
+  /// block stages the cache lookup for the in-order commit, which counts
+  /// its hit or miss.
+  [[gnu::always_inline]] float tex2d(TextureHandle handle, int x, int y) {
+    if (sanitizer_enabled(block_->sanitize, SanitizerMode::kMemcheck))
         [[unlikely]] {
-      const Texture2D* pre = block_->launch->texture_or_null(handle);
-      if (pre == nullptr) {
-        report_finding(SanitizerFindingKind::kInvalidTextureFetch,
-                       0xffffffffu, 0,
-                       "fetch through invalid or unbound texture handle #" +
-                           std::to_string(handle.index));
-        return 0.0f;
-      }
-      if (!pre->backing_live()) {
-        report_finding(SanitizerFindingKind::kUseAfterFree,
-                       pre->allocation_id(), 0,
-                       "texture fetch through a freed backing allocation");
-        return 0.0f;
-      }
+      if (!memcheck_texture(handle)) return 0.0f;
     }
-    const Texture2D& tex = block_->launch->texture(handle);
+    const Texture2D& tex = block_->texture(handle);
     ++block_->counters.texture_fetches;
     if (!tex.resolve(x, y)) {
       // Border fetches are satisfied without a cache transaction.
@@ -232,17 +237,9 @@ class ThreadCtx {
       return tex.border_value();
     }
     const std::uint64_t address = tex.cache_address(x, y);
-    bool hit = false;
-    SetAssociativeCache& cache = (*block_->launch->sm_caches)[
-        static_cast<std::size_t>(block_->sm_id)];
-    if (block_->launch->parallel_blocks) {
-      const std::lock_guard<std::mutex> lock(
-          block_->launch->sm_cache_mutexes[block_->sm_id]);
-      hit = cache.access(address);
-    } else {
-      hit = cache.access(address);
-    }
-    if (hit) {
+    if (block_->parallel_blocks) {
+      block_->effects.texture_addresses.push_back(address);
+    } else if (block_->sm_cache->access(address)) {
       ++block_->counters.texture_hits;
     } else {
       ++block_->counters.texture_misses;
@@ -280,7 +277,7 @@ class ThreadCtx {
   /// True when any sanitizer tool is active for this launch (the single
   /// branch every instrumented site pays in off mode).
   [[nodiscard]] bool sanitizing() const {
-    return block_->launch->sanitize != SanitizerMode::kOff;
+    return block_->sanitize != SanitizerMode::kOff;
   }
 
   /// Record a finding at this thread's coordinates and barrier epoch.
@@ -302,8 +299,7 @@ class ThreadCtx {
   template <typename T>
   [[nodiscard]] bool memcheck_global(const DevicePtr<T>& ptr, std::size_t i,
                                      bool is_write) {
-    if (!sanitizer_enabled(block_->launch->sanitize,
-                           SanitizerMode::kMemcheck)) {
+    if (!sanitizer_enabled(block_->sanitize, SanitizerMode::kMemcheck)) {
       return true;
     }
     const char* op = is_write ? "write" : "read";
@@ -335,13 +331,32 @@ class ThreadCtx {
     return true;
   }
 
+  /// Memcheck a texture fetch: the handle must name a bound texture whose
+  /// backing allocation is live. Same proceed/suppress contract.
+  [[nodiscard]] bool memcheck_texture(TextureHandle handle) {
+    const Texture2D* pre = block_->launch->texture_or_null(handle);
+    if (pre == nullptr) {
+      report_finding(SanitizerFindingKind::kInvalidTextureFetch, 0xffffffffu,
+                     0,
+                     "fetch through invalid or unbound texture handle #" +
+                         std::to_string(handle.index));
+      return false;
+    }
+    if (!pre->backing_live()) {
+      report_finding(SanitizerFindingKind::kUseAfterFree,
+                     pre->allocation_id(), 0,
+                     "texture fetch through a freed backing allocation");
+      return false;
+    }
+    return true;
+  }
+
   /// Memcheck a shared access (bounds only; shared arrays are zero-filled
   /// at creation by construction). Same proceed/suppress contract.
   [[nodiscard]] bool memcheck_shared(std::size_t slot, std::size_t i,
                                      std::size_t count,
                                      std::size_t elem_bytes, bool is_write) {
-    if (!sanitizer_enabled(block_->launch->sanitize,
-                           SanitizerMode::kMemcheck)) {
+    if (!sanitizer_enabled(block_->sanitize, SanitizerMode::kMemcheck)) {
       return true;
     }
     if (i >= count) {
@@ -357,19 +372,17 @@ class ThreadCtx {
   }
 
   // --- Access-class bookkeeping (SharedArray + load/store) -----------------------
-  void record_shared_access(std::size_t slot, std::size_t byte_in_alloc,
-                            std::size_t arena_offset, std::size_t bytes,
-                            bool is_write) {
+  [[gnu::always_inline]] void record_shared_access(
+      std::size_t slot, std::size_t byte_in_alloc, std::size_t arena_offset,
+      std::size_t bytes, bool is_write) {
     if (is_write) {
       ++block_->counters.shared_writes;
     } else {
       ++block_->counters.shared_reads;
     }
-    if (block_->launch->track_warp_access) {
-      block_->shared_access.record(warp_id_, shared_seq_++, arena_offset);
-    }
-    if (sanitizer_enabled(block_->launch->sanitize,
-                          SanitizerMode::kRacecheck)) [[unlikely]] {
+    block_->shared_access.record(warp_id_, shared_seq_++, arena_offset);
+    if (sanitizer_enabled(block_->sanitize, SanitizerMode::kRacecheck))
+        [[unlikely]] {
       check_shared_race(slot, byte_in_alloc, arena_offset, bytes, is_write);
     }
   }
@@ -432,40 +445,27 @@ class ThreadCtx {
     }
   }
 
-  void record_global_access(std::uint32_t alloc_id, std::size_t byte_offset) {
-    if (block_->launch->track_warp_access) {
-      // Distinct allocations cannot coalesce: offset them far apart in the
-      // tracker's address space.
-      block_->global_access.record(
-          warp_id_, global_seq_++,
-          (static_cast<std::uint64_t>(alloc_id) << 40) + byte_offset);
-    }
-  }
-
-  std::atomic<std::uint32_t>* shadow_counts(const DevicePtr<float>& ptr) {
-    // Consult the block-level cache first: kernels almost always direct all
-    // their atomics at one destination (the image), so the launch-wide
-    // lookup (which takes a lock) happens once per block, not per op.
-    if (ptr.allocation_id() != block_->shadow_alloc_id) {
-      block_->shadow = block_->launch->shadow_for(ptr.allocation_id(),
-                                                  ptr.size());
-      block_->shadow_alloc_id = ptr.allocation_id();
-    }
-    return block_->shadow;
+  [[gnu::always_inline]] void record_global_access(std::uint32_t alloc_id,
+                                                   std::size_t byte_offset) {
+    // Distinct allocations cannot coalesce: offset them far apart in the
+    // tracker's address space.
+    block_->global_access.record(
+        warp_id_, global_seq_++,
+        (static_cast<std::uint64_t>(alloc_id) << 40) + byte_offset);
   }
 
   BlockState* block_;
   Dim3 thread_idx_;
   std::uint32_t linear_thread_ = 0;
   std::uint32_t warp_id_ = 0;
-  std::size_t shared_cursor_ = 0;
+  std::uint32_t shared_cursor_ = 0;
   bool at_barrier_ = false;
   std::uint32_t shared_seq_ = 0;
   std::uint32_t global_seq_ = 0;
 };
 
 template <typename T>
-T SharedArray<T>::get(std::size_t i) const {
+inline T SharedArray<T>::get(std::size_t i) const {
   if (ctx_->sanitizing()) [[unlikely]] {
     if (!ctx_->memcheck_shared(slot_, i, count_, sizeof(T),
                                /*is_write=*/false)) {
@@ -480,7 +480,7 @@ T SharedArray<T>::get(std::size_t i) const {
 }
 
 template <typename T>
-void SharedArray<T>::set(std::size_t i, T value) const {
+inline void SharedArray<T>::set(std::size_t i, T value) const {
   if (ctx_->sanitizing()) [[unlikely]] {
     if (!ctx_->memcheck_shared(slot_, i, count_, sizeof(T),
                                /*is_write=*/true)) {

@@ -154,14 +154,31 @@ class HandshakeError : public Error {
 
 }  // namespace starsim::support
 
+namespace starsim::support::detail {
+
+/// The throw behind STARSIM_REQUIRE, kept out of line and cold so a guarded
+/// accessor stays small enough to inline at its call sites.
+[[noreturn, gnu::cold, gnu::noinline]] inline void throw_precondition(
+    const char* file, int line, const std::string& message,
+    const char* condition) {
+  throw PreconditionError(std::string(file) + ":" + std::to_string(line) +
+                          ": " + message + " (violated: " + condition + ")");
+}
+
+[[noreturn, gnu::cold, gnu::noinline]] inline void throw_precondition(
+    const char* file, int line, const char* message, const char* condition) {
+  throw_precondition(file, line, std::string(message), condition);
+}
+
+}  // namespace starsim::support::detail
+
 /// Precondition guard: throws PreconditionError with location info when the
 /// condition does not hold. Always enabled.
 #define STARSIM_REQUIRE(cond, msg)                                          \
   do {                                                                      \
-    if (!(cond)) {                                                          \
-      throw ::starsim::support::PreconditionError(                          \
-          std::string(__FILE__) + ":" + std::to_string(__LINE__) + ": " +   \
-          (msg) + " (violated: " #cond ")");                                \
+    if (!(cond)) [[unlikely]] {                                             \
+      ::starsim::support::detail::throw_precondition(__FILE__, __LINE__,    \
+                                                     (msg), #cond);         \
     }                                                                       \
   } while (false)
 

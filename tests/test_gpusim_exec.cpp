@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "gpusim/device.h"
@@ -217,6 +218,34 @@ TEST(Exec, SharedMemoryZeroInitialized) {
   dev.memcpy_d2h(std::span<float>(host), out);
   EXPECT_EQ(host[0], 0.0f);
   dev.free(out);
+}
+
+// Each block dirties its whole shared array; the next block, with a larger
+// array, must still read zeros everywhere.
+TEST(Exec, SharedMemoryZeroedForEveryBlock) {
+  SerialDevice dev;  // 1 KiB shared per block: up to 256 floats
+  auto dirty = dev.malloc<float>(1);
+  dev.memset_zero(dirty);
+  auto kernel = [&dirty](gs::ThreadCtx& ctx) -> gs::ThreadProgram {
+    const std::size_t count = 32 + 32 * ctx.block_linear();
+    auto first = ctx.shared_array<float>(count / 2);
+    auto second = ctx.shared_array<float>(count - count / 2);
+    for (std::size_t i = ctx.thread_linear(); i < first.size(); i += 4) {
+      if (first.get(i) != 0.0f) ctx.atomic_add(dirty, 0, 1.0f);
+      first.set(i, 9.0f);
+    }
+    for (std::size_t i = ctx.thread_linear(); i < second.size(); i += 4) {
+      if (second.get(i) != 0.0f) ctx.atomic_add(dirty, 0, 1.0f);
+      second.set(i, -3.0f);
+    }
+    co_return;
+  };
+  (void)dev.launch({gs::Dim3(7), gs::Dim3(4)}, kernel);
+  (void)dev.launch({gs::Dim3(7), gs::Dim3(4)}, kernel);
+  std::vector<float> host(1, -1.0f);
+  dev.memcpy_d2h(std::span<float>(host), dirty);
+  EXPECT_EQ(host[0], 0.0f);
+  dev.free(dirty);
 }
 
 TEST(Exec, SharedMemoryBudgetEnforced) {
@@ -455,6 +484,38 @@ TEST(Exec, ParallelAndSerialProduceSameImage) {
   EXPECT_EQ(run(serial), run(parallel));
 }
 
+
+// Four threads submit interleaved blocks to a 4-slot ring, so blocks arrive
+// out of order and submitters wait for room. Each block adds 1 or ±1e8, and
+// a float at 1e8 cannot hold a +1, so which 1s survive depends on the order:
+// the cell must end as adding the blocks in index order does.
+TEST(Exec, CommitQueueAppliesBlocksInIndexOrder) {
+  constexpr std::uint64_t kBlocks = 64;
+  auto value_of = [](std::uint64_t b) {
+    return b % 8 == 0 ? (b % 16 == 0 ? 1e8f : -1e8f) : 1.0f;
+  };
+  float expected = 0.0f;
+  for (std::uint64_t b = 0; b < kBlocks; ++b) expected += value_of(b);
+
+  gs::BlockCommitQueue queue(4);
+  float cell = 0.0f;
+  queue.begin(nullptr);
+  std::vector<std::thread> submitters;
+  for (std::uint64_t t = 0; t < 4; ++t) {
+    submitters.emplace_back([&, t] {
+      gs::BlockEffects effects;
+      for (std::uint64_t b = 3 - t; b < kBlocks; b += 4) {
+        effects.clear();
+        effects.adds.push_back({&cell, value_of(b)});
+        queue.submit(b, effects);
+      }
+    });
+  }
+  for (std::thread& submitter : submitters) submitter.join();
+  gs::KernelCounters totals;
+  queue.finish(totals);
+  EXPECT_EQ(cell, expected);
+}
 
 TEST(Exec, KernelExceptionPropagatesFromParallelBlocks) {
   gs::Device dev(gs::DeviceSpec::test_small());

@@ -281,6 +281,27 @@ TEST(Racecheck, BarrierSeparatedAccessesAreClean) {
   dev.free(out);
 }
 
+// Race cells belong to one block: a second block on the same OS thread
+// that touches the word block 0 wrote, from a different thread and in the
+// same epoch number, is no hazard.
+TEST(Racecheck, BlocksOnOneThreadDoNotShareRaceCells) {
+  SanitizedDevice dev(SanitizerMode::kRacecheck);
+  auto kernel = [](gs::ThreadCtx& ctx) -> gs::ThreadProgram {
+    auto shared = ctx.shared_array<float>(4);
+    if (ctx.thread_linear() == ctx.block_linear()) shared.set(0, 1.0f);
+    if (ctx.thread_linear() == (ctx.block_linear() + 1) % 2) {
+      (void)shared.get(1);
+    }
+    co_return;
+  };
+  const gs::LaunchResult r = dev.launch({gs::Dim3(2), gs::Dim3(2)}, kernel);
+  EXPECT_TRUE(r.sanitizer.clean()) << r.sanitizer.summary();
+  // The same pattern across launches on one device and thread.
+  const gs::LaunchResult again =
+      dev.launch({gs::Dim3(2), gs::Dim3(2)}, kernel);
+  EXPECT_TRUE(again.sanitizer.clean()) << again.sanitizer.summary();
+}
+
 // --- Defect corpus: synccheck ------------------------------------------------
 
 // Off mode throws on a divergent barrier; under synccheck the launch

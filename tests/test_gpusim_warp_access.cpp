@@ -3,6 +3,7 @@
 // optimizations (register staging, coalesced star loads) are aimed at.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "gpusim/device.h"
@@ -79,6 +80,75 @@ TEST(WarpAccessTracker, TwoSegmentStraddle) {
 TEST(WarpAccessTracker, SameAddressLoadsShareOneTransaction) {
   gs::WarpAccessTracker tracker;
   for (int t = 0; t < 32; ++t) tracker.record(0, 0, 4096);
+  EXPECT_EQ(tracker.transactions(128), 1u);
+}
+
+// A warp group is kept as one address while every lane agrees and spilled
+// to a full lane list when one differs. Whatever the lane at which it
+// diverges, and whatever the differing address, the counts must equal those
+// computed from every lane's address.
+std::uint64_t reference_bank_conflicts(const std::vector<std::uint64_t>& lanes) {
+  std::vector<std::uint64_t> distinct;
+  for (std::uint64_t a : lanes) {
+    if (std::find(distinct.begin(), distinct.end(), a) == distinct.end()) {
+      distinct.push_back(a);
+    }
+  }
+  std::vector<int> per_bank(32, 0);
+  int worst = 1;
+  for (std::uint64_t a : distinct) worst = std::max(worst, ++per_bank[(a / 4) % 32]);
+  return static_cast<std::uint64_t>(worst - 1);
+}
+
+std::uint64_t reference_transactions(const std::vector<std::uint64_t>& lanes) {
+  std::vector<std::uint64_t> segments;
+  for (std::uint64_t a : lanes) {
+    if (std::find(segments.begin(), segments.end(), a / 128) ==
+        segments.end()) {
+      segments.push_back(a / 128);
+    }
+  }
+  return segments.size();
+}
+
+TEST(WarpAccessTracker, UniformSlotThatDivergesCountsEveryLane) {
+  const std::uint64_t base = 4096 + 8;
+  // Same bank other segment, other bank same segment, far away, and a lane
+  // pattern that returns to the uniform address after diverging.
+  const std::vector<std::uint64_t> offsets = {128, 4, 1 << 20, 256 + 8};
+  for (int diverge_at : {1, 2, 5, 16, 31}) {
+    for (std::uint64_t offset : offsets) {
+      for (int period : {1, 2, 3}) {
+        std::vector<std::uint64_t> lanes;
+        for (int t = 0; t < 32; ++t) {
+          const bool differs = t >= diverge_at && (t - diverge_at) % period == 0;
+          lanes.push_back(differs ? base + offset * static_cast<std::uint64_t>(
+                                                     1 + (t % 3))
+                                  : base);
+        }
+        gs::WarpAccessTracker tracker;
+        for (int t = 0; t < 32; ++t) {
+          tracker.record(0, 0, lanes[static_cast<std::size_t>(t)]);
+          tracker.record(1, 2, base);  // an untouched uniform slot beside it
+        }
+        SCOPED_TRACE(testing::Message() << "diverge_at " << diverge_at
+                                        << " offset " << offset << " period "
+                                        << period);
+        EXPECT_EQ(tracker.bank_conflicts(32, 4),
+                  reference_bank_conflicts(lanes));
+        EXPECT_EQ(tracker.transactions(128), reference_transactions(lanes) + 1);
+      }
+    }
+  }
+}
+
+TEST(WarpAccessTracker, ClearForgetsSpilledSlots) {
+  gs::WarpAccessTracker tracker;
+  for (std::uint64_t t = 0; t < 32; ++t) tracker.record(0, 0, t * 128);
+  EXPECT_EQ(tracker.bank_conflicts(32, 4), 31u);
+  tracker.clear();
+  for (int t = 0; t < 32; ++t) tracker.record(0, 0, 64);
+  EXPECT_EQ(tracker.bank_conflicts(32, 4), 0u);
   EXPECT_EQ(tracker.transactions(128), 1u);
 }
 
@@ -172,24 +242,6 @@ TEST(WarpAccess, SharedSameBankWorstCase) {
   };
   const gs::LaunchResult r = dev.launch({gs::Dim3(1), gs::Dim3(8)}, kernel);
   EXPECT_EQ(r.counters.shared_bank_conflicts, 7u);
-}
-
-TEST(WarpAccess, TrackingCanBeDisabled) {
-  SerialDevice dev;
-  dev.set_warp_access_tracking(false);
-  auto buf = dev.malloc<float>(32);
-  dev.memset_zero(buf);
-  auto kernel = [&buf](gs::ThreadCtx& ctx) -> gs::ThreadProgram {
-    (void)ctx.load(buf, ctx.thread_linear());
-    auto shared = ctx.shared_array<float>(64);
-    shared.set(ctx.thread_linear() * 2ull, 1.0f);
-    co_return;
-  };
-  const gs::LaunchResult r = dev.launch({gs::Dim3(1), gs::Dim3(32)}, kernel);
-  EXPECT_EQ(r.counters.global_transactions, 0u);
-  EXPECT_EQ(r.counters.shared_bank_conflicts, 0u);
-  EXPECT_EQ(r.counters.global_reads, 32u);  // plain counts still kept
-  EXPECT_EQ(r.counters.shared_writes, 32u);
 }
 
 TEST(WarpAccess, ConflictsRaiseModeledSharedTime) {
