@@ -7,7 +7,7 @@
 #include <cstdio>
 
 #include "bench_common.h"
-#include "starsim/selector.h"
+#include "sched/cost.h"
 #include "starsim/sequential_simulator.h"
 #include "starsim/workload.h"
 #include "support/table.h"
@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
                       "kernel_cost_ratio"});
 
   SequentialSimulator sim;
-  const SimulatorSelector selector;
+  const sched::CostModel model;
   for (double sigma : {0.3, 0.5, 0.8, 1.2, 1.7, 2.5, 4.0}) {
     SceneConfig scene;
     scene.image_width = 64;
@@ -54,10 +54,10 @@ int main(int argc, char** argv) {
     SceneConfig paper = paper_scene(kTest1RoiSide);
     paper.psf_sigma = sigma;
     const double t_point =
-        selector.predict(paper, 8192).parallel.kernel_s;
+        model.predict(paper, 8192).parallel.kernel_s;
     paper.pixel_integration = true;
     const double t_integrated =
-        selector.predict(paper, 8192).parallel.kernel_s;
+        model.predict(paper, 8192).parallel.kernel_s;
 
     const double point_error =
         std::abs(point_flux - brightness) / brightness;

@@ -2,7 +2,7 @@
 //
 // Crosses the paper's two sweep axes into one star-count x ROI grid and, at
 // every point, compares the tuned schedule's modeled time against the two
-// fixed GPU simulators the legacy Table III selector chooses between. The
+// fixed GPU simulators the paper's Table III rule chooses between. The
 // scene is a large 2048^2 frame: PCIe transfers dominate small star fields
 // there, which is exactly the regime where a cost-model scheduler pays off
 // by routing work to CPU schedules the fixed policy never considers.

@@ -6,7 +6,7 @@
 
 #include "bench_common.h"
 #include "starsim/openmp_simulator.h"
-#include "starsim/selector.h"
+#include "sched/cost.h"
 #include "starsim/sequential_simulator.h"
 #include "starsim/workload.h"
 #include "support/table.h"
@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
   const SceneConfig scene = paper_scene(kTest1RoiSide);
   SequentialSimulator sequential;
   OpenMpSimulator cpu8(8);
-  const SimulatorSelector selector;
+  const sched::CostModel model;
 
   for (std::size_t stars : {std::size_t{1} << 8, std::size_t{1} << 11,
                             std::size_t{1} << 14, std::size_t{1} << 17}) {
@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
         sequential.simulate(scene, field).timing.application_s();
     const double cpu8_s = cpu8.simulate(scene, field).timing.application_s();
     const double gpu_s =
-        selector.predict(scene, stars).parallel.application_s();
+        model.predict(scene, stars).parallel.application_s();
 
     table.add_row({star_label(stars), sup::format_time(seq_s),
                    sup::format_time(cpu8_s), sup::format_time(gpu_s),

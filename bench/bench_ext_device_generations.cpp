@@ -1,6 +1,6 @@
 // Extension — the selection rule across GPU generations. Table III's
 // turning points are properties of one chip, not of the algorithm; because
-// the advisor predicts from a DeviceSpec, re-deriving the rule for newer
+// the cost model predicts from a DeviceSpec, re-deriving the rule for newer
 // hardware is free. On Kepler-class fp64 throughput the parallel kernel's
 // per-pixel exp becomes cheap, the adaptive simulator's fixed overhead
 // stops amortizing, and the inflection retreats or disappears — the
@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "starsim/selector.h"
+#include "sched/cost.h"
 #include "starsim/workload.h"
 #include "support/table.h"
 #include "support/units.h"
@@ -51,11 +51,11 @@ int main(int argc, char** argv) {
                       "roi_inflection", "speedup_2e17"});
 
   for (const DeviceRow& row : devices) {
-    const SimulatorSelector selector(row.spec);
+    const sched::CostModel model(row.spec);
 
     std::size_t star_inflection = 0;
     for (std::size_t n : test1_star_counts()) {
-      if (selector.predict(paper_scene(kTest1RoiSide), n).best_gpu ==
+      if (model.predict(paper_scene(kTest1RoiSide), n).best_gpu ==
           SimulatorKind::kAdaptive) {
         star_inflection = n;
         break;
@@ -63,14 +63,14 @@ int main(int argc, char** argv) {
     }
     int roi_inflection = 0;
     for (int side : test2_roi_sides()) {
-      if (selector.predict(paper_scene(side), kTest2StarCount).best_gpu ==
+      if (model.predict(paper_scene(side), kTest2StarCount).best_gpu ==
           SimulatorKind::kAdaptive) {
         roi_inflection = side;
         break;
       }
     }
-    const Prediction top =
-        selector.predict(paper_scene(kTest1RoiSide), 1u << 17);
+    const sched::Prediction top =
+        model.predict(paper_scene(kTest1RoiSide), 1u << 17);
     const double speedup =
         top.sequential_s / top.parallel.application_s();
 
@@ -91,7 +91,7 @@ int main(int argc, char** argv) {
       "\ntable pays for itself at the paper's thresholds; as fp64 arithmetic"
       "\ngets cheap (Kepler), precomputing it buys less and the parallel"
       "\nkernel stays the right choice far longer — Table III must be"
-      "\nre-derived per device, which the SimulatorSelector does.");
+      "\nre-derived per device, which the cost model does.");
   maybe_write_csv(csv, csv_path);
   return 0;
 }

@@ -5,7 +5,7 @@
 #include <cstdio>
 
 #include "bench_common.h"
-#include "starsim/selector.h"
+#include "sched/cost.h"
 #include "starsim/workload.h"
 #include "support/table.h"
 
@@ -67,10 +67,10 @@ int main(int argc, char** argv) {
       work1, work2);
 
   // Section IV-D: the sequential niche.
-  const starsim::SimulatorSelector selector;
+  const starsim::sched::CostModel model;
   std::size_t seq_limit = 0;
   for (std::size_t n = 1; n <= (1u << 12); n *= 2) {
-    if (selector.choose(paper_scene(10), n) ==
+    if (model.predict(paper_scene(10), n).best ==
         starsim::SimulatorKind::kSequential) {
       seq_limit = n;
     }

@@ -7,7 +7,7 @@
 //   ./simulator_advisor --stars 500 --roi 16 --bins 64 --phases 4
 #include <cstdio>
 
-#include "starsim/selector.h"
+#include "sched/cost.h"
 #include "support/cli.h"
 #include "support/table.h"
 #include "support/units.h"
@@ -34,10 +34,10 @@ int main(int argc, char** argv) {
   lut.bins_per_magnitude = static_cast<int>(cli.integer("bins"));
   lut.subpixel_phases = static_cast<int>(cli.integer("phases"));
 
-  const SimulatorSelector selector(gpusim::DeviceSpec::gtx480(),
-                                   gpusim::HostSpec::i7_860(), lut);
+  const sched::CostModel model(gpusim::DeviceSpec::gtx480(),
+                               gpusim::HostSpec::i7_860());
   const auto stars = static_cast<std::size_t>(cli.integer("stars"));
-  const Prediction prediction = selector.predict(scene, stars);
+  const sched::Prediction prediction = model.predict(scene, stars, lut);
 
   std::printf("workload: %zu stars, ROI %dx%d, image %dx%d\n\n", stars,
               scene.roi_side, scene.roi_side, scene.image_width,

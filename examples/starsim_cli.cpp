@@ -10,8 +10,8 @@
 //   starsim_cli serve-bench --shards 4 --replicas 2 --hedge-ms 5
 //   starsim_cli trace-check --trace trace.json --metrics metrics.prom
 //
-// `simulate --sim auto` asks the SimulatorSelector (Table III) to pick the
-// best simulator for the workload; `serve-bench` load-tests the concurrent
+// `simulate --sim auto` renders the schedule the serving auto-scheduler
+// tunes for the workload; `serve-bench` load-tests the concurrent
 // FrameService (docs/serving.md). Both accept --trace=<file> to export a
 // Chrome trace of the run, serve-bench adds --metrics=<file> for one
 // Prometheus scrape, and trace-check validates either artifact
@@ -37,6 +37,7 @@
 #include "gpusim/device.h"
 #include "gpusim/fault_injector.h"
 #include "gpusim/sanitizer.h"
+#include "sched/apply.h"
 #include "sched/scheduler.h"
 #include "serve/service.h"
 #include "starsim/adaptive_simulator.h"
@@ -45,7 +46,6 @@
 #include "starsim/projection.h"
 #include "starsim/render.h"
 #include "starsim/resilient_executor.h"
-#include "starsim/selector.h"
 #include "starsim/sequential_simulator.h"
 #include "starsim/star_io.h"
 #include "starsim/workload.h"
@@ -207,17 +207,23 @@ int cmd_simulate(int argc, char** argv) {
   scene.psf_sigma = cli.real("sigma");
   scene.pixel_integration = cli.flag("integrated");
 
-  std::string which = cli.str("sim");
-  if (which == "auto") {
-    const SimulatorSelector selector;
-    which = std::string(to_string(selector.choose(scene, stars.size())));
-    std::printf("selector picked: %s\n", which.c_str());
-  }
-
   gpusim::Device device(gpusim::DeviceSpec::gtx480());
   device.set_sanitizer(*sanitize);
   std::unique_ptr<Simulator> simulator;
-  if (which == "sequential") {
+  const std::string which = cli.str("sim");
+  if (which == "auto") {
+    // The serving chooser: render exactly the schedule it tunes (tiling and
+    // lookup table included). A field with no stars renders sequentially,
+    // as Scheduler::choose does.
+    sched::Schedule schedule;
+    schedule.simulator = SimulatorKind::kSequential;
+    if (!stars.empty()) {
+      sched::Scheduler scheduler;
+      schedule = scheduler.schedule_for(scene, stars.size()).schedule;
+    }
+    std::printf("scheduler picked: %s\n", schedule.to_string().c_str());
+    simulator = sched::build_simulator(device, schedule);
+  } else if (which == "sequential") {
     simulator = std::make_unique<SequentialSimulator>();
   } else if (which == "cpu" || which == "cpu-parallel") {
     simulator = std::make_unique<OpenMpSimulator>();
@@ -588,9 +594,6 @@ int cmd_serve_bench(int argc, char** argv) {
   std::shared_ptr<sched::Scheduler> scheduler;
   if (!sched_cache_path.empty()) {
     sched::SchedulerOptions sched_options;
-    sched_options.device = opts.selector.device();
-    sched_options.host = opts.selector.host();
-    sched_options.lut_floor = opts.selector.lut();
     sched_options.batch_hint = std::max<std::size_t>(1, opts.max_batch_size);
     scheduler = std::make_shared<sched::Scheduler>(sched_options);
     if (scheduler->load_cache(sched_cache_path)) {
@@ -1068,7 +1071,7 @@ void print_usage() {
       "  catalog   synthesize a celestial catalogue file\n"
       "  project   attitude -> FOV star retrieval\n"
       "  generate  random benchmark star field\n"
-      "  simulate  star file -> image (--sim auto uses the selector)\n"
+      "  simulate  star file -> image (--sim auto uses the scheduler)\n"
       "  autoschedule  cost-model-tune an execution schedule\n"
       "  serve-bench  load-test the concurrent frame service\n"
       "  trace-check  validate exported trace/metrics artifacts\n"

@@ -499,6 +499,51 @@ void ShardRouter::record_shed(int shard_index) {
   health_[static_cast<std::size_t>(shard_index)].sheds += 1;
 }
 
+ShardRouter::ReplyOutcome ShardRouter::classify(const WireBuffer& bytes,
+                                                int shard) {
+  {
+    const std::lock_guard<std::mutex> lock(stats_mutex_);
+    wire_reply_bytes_ += bytes.size();
+  }
+  ReplyOutcome outcome;
+  try {
+    outcome.response = decode_reply(bytes);
+    record_outcome(shard, true);
+    return outcome;
+  } catch (const support::OverloadShedError&) {
+    // Pressure, not failure: fail over without charging the breaker.
+    outcome.error = std::current_exception();
+    record_shed(shard);
+    const std::lock_guard<std::mutex> lock(stats_mutex_);
+    shard_sheds_ += 1;
+  } catch (const support::DeadlineExceededError&) {
+    // The request's budget ran out, not the shard: terminal, no failover,
+    // no breaker charge.
+    outcome.error = std::current_exception();
+    outcome.terminal = true;
+  } catch (const support::ShardDownError&) {
+    // The transport lost its peer mid-request (EOF, reset, kill). Route
+    // into the ladder without charging the breaker — the shard is gone,
+    // not misbehaving — and fail over.
+    outcome.error = std::current_exception();
+    note_unreachable(shard);
+  } catch (const support::TransportTimeoutError&) {
+    // A hung shard burned this request's I/O budget. Charge the breaker
+    // (repeat offenders quarantine) and fail over; the hang detector
+    // handles the process itself.
+    outcome.error = std::current_exception();
+    {
+      const std::lock_guard<std::mutex> lock(stats_mutex_);
+      transport_timeouts_ += 1;
+    }
+    record_outcome(shard, false);
+  } catch (const std::exception&) {
+    outcome.error = std::current_exception();
+    record_outcome(shard, false);
+  }
+  return outcome;
+}
+
 void ShardRouter::fail_task(RouterTask& task, std::exception_ptr error,
                             bool count_expired, bool count_shed) {
   {
@@ -793,130 +838,43 @@ void ShardRouter::execute(RouterTask task) {
       }
     }
 
-    const auto settle_loser = [&]() {
-      if (loser == nullptr) return;
-      if (loser->ready()) {
-        const WireBuffer bytes = loser->take();
-        bool success = false;
-        bool shed = false;
-        try {
-          (void)decode_reply(bytes);
-          success = true;
-        } catch (const support::OverloadShedError&) {
-          shed = true;
-        } catch (const support::ShardDownError&) {
-          // Peer gone, not erring: enter the ladder, spare the breaker.
-          note_unreachable(loser_shard);
-        } catch (const support::TransportTimeoutError&) {
-          {
-            const std::lock_guard<std::mutex> lock(stats_mutex_);
-            transport_timeouts_ += 1;
-          }
-          record_outcome(loser_shard, false);
-        } catch (const std::exception&) {
-          record_outcome(loser_shard, false);
-        }
-        if (success) record_outcome(loser_shard, true);
-        if (shed) record_shed(loser_shard);
-        const std::lock_guard<std::mutex> lock(stats_mutex_);
-        // Count the shed fleet-wide too, matching interpret(): the two
-        // paths must agree or shard_sheds undercounts the per-shard sum.
-        if (shed) shard_sheds_ += 1;
-        wire_reply_bytes_ += bytes.size();
-        hedges_discarded_ += 1;
-      } else {
-        // Still rendering; the shard resolves it unobserved. Dropping the
-        // handle cannot strand the request — only this router held it.
-        const std::lock_guard<std::mutex> lock(stats_mutex_);
-        hedges_discarded_ += 1;
-      }
+    ReplyOutcome outcome = classify(winner->take(), winner_shard);
+    if (!outcome.response.has_value() && !outcome.terminal &&
+        loser != nullptr) {
+      // Winner failed but the hedge pair is still live: the loser is a
+      // fully-formed failover attempt already in flight — use it.
+      PendingReply& backup_reply = *loser;
       loser = nullptr;
-    };
-
-    const auto interpret =
-        [&](PendingReply& reply,
-            int reply_shard) -> std::optional<serve::RenderResponse> {
-      const WireBuffer bytes = reply.take();
-      {
+      outcome = classify(backup_reply.take(), loser_shard);
+      if (!outcome.terminal) {
         const std::lock_guard<std::mutex> lock(stats_mutex_);
-        wire_reply_bytes_ += bytes.size();
+        failovers_ += 1;
+        failed_over = true;
       }
-      try {
-        serve::RenderResponse response = decode_reply(bytes);
-        record_outcome(reply_shard, true);
-        return response;
-      } catch (const support::OverloadShedError&) {
-        // Pressure, not failure: fail over without charging the breaker.
-        record_shed(reply_shard);
-        {
-          const std::lock_guard<std::mutex> lock(stats_mutex_);
-          shard_sheds_ += 1;
-        }
-        last_error = std::current_exception();
-      } catch (const support::DeadlineExceededError&) {
-        // Re-rendering cannot un-expire the request: terminal, no failover.
-        last_error = std::current_exception();
-        throw;
-      } catch (const support::ShardDownError&) {
-        // The transport lost its peer mid-request (EOF, reset, kill).
-        // Route into the ladder without charging the breaker — the shard
-        // is gone, not misbehaving — and fail over.
-        note_unreachable(reply_shard);
-        last_error = std::current_exception();
-      } catch (const support::TransportTimeoutError&) {
-        // A hung shard burned this request's I/O budget. Charge the
-        // breaker (repeat offenders quarantine) and fail over; the hang
-        // detector handles the process itself.
-        {
-          const std::lock_guard<std::mutex> lock(stats_mutex_);
-          transport_timeouts_ += 1;
-        }
-        record_outcome(reply_shard, false);
-        last_error = std::current_exception();
-      } catch (const std::exception&) {
-        record_outcome(reply_shard, false);
-        last_error = std::current_exception();
+    }
+    if (loser != nullptr) {
+      // The hedge loser: a ready reply is classified like any other; a
+      // pending one is dropped — the shard resolves it unobserved, and
+      // only this router held the handle.
+      if (loser->ready()) (void)classify(loser->take(), loser_shard);
+      const std::lock_guard<std::mutex> lock(stats_mutex_);
+      hedges_discarded_ += 1;
+    }
+    if (outcome.response.has_value()) {
+      span.arg("shard", winner_shard).arg("hedged", hedge_shard >= 0);
+      if (failed_over) {
+        span.arg("failover", true);
+        const std::lock_guard<std::mutex> lock(stats_mutex_);
+        failover_successes_ += 1;
       }
-      return std::nullopt;
-    };
-
-    try {
-      std::optional<serve::RenderResponse> response =
-          interpret(*winner, winner_shard);
-      if (!response.has_value() && loser != nullptr) {
-        // Winner failed but the hedge pair is still live: the loser is a
-        // fully-formed failover attempt already in flight — use it. Clear
-        // `loser` before interpret() consumes the reply: a rethrown
-        // DeadlineExceededError lands in the catch below, and settle_loser
-        // must not take an already-taken reply twice.
-        PendingReply& backup_reply = *loser;
-        loser = nullptr;
-        std::optional<serve::RenderResponse> backup =
-            interpret(backup_reply, loser_shard);
-        {
-          const std::lock_guard<std::mutex> lock(stats_mutex_);
-          failovers_ += 1;
-          failed_over = true;
-        }
-        if (backup.has_value()) response = std::move(backup);
-      }
-      if (response.has_value()) {
-        settle_loser();
-        span.arg("shard", winner_shard).arg("hedged", hedge_shard >= 0);
-        if (failed_over) {
-          span.arg("failover", true);
-          const std::lock_guard<std::mutex> lock(stats_mutex_);
-          failover_successes_ += 1;
-        }
-        deliver(task, std::move(*response));
-        return;
-      }
-    } catch (const support::DeadlineExceededError&) {
-      settle_loser();
-      fail_task(task, std::current_exception());
+      deliver(task, std::move(*outcome.response));
       return;
     }
-    settle_loser();
+    last_error = outcome.error;
+    if (outcome.terminal) {
+      fail_task(task, last_error);
+      return;
+    }
     if (next < plan.size()) {
       const std::lock_guard<std::mutex> lock(stats_mutex_);
       failovers_ += 1;

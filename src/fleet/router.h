@@ -326,6 +326,14 @@ class ShardRouter {
     std::uint64_t reinstates = 0;
   };
 
+  /// One shard reply, decoded: the response, or the error it carried.
+  struct ReplyOutcome {
+    std::optional<serve::RenderResponse> response;
+    std::exception_ptr error;  ///< set iff `response` is empty
+    /// DeadlineExceededError: re-rendering cannot un-expire the request.
+    bool terminal = false;
+  };
+
   [[nodiscard]] RouterTask make_task(serve::RenderRequest&& request);
   /// Stable pointer to a slot's transport (slots_ is append-only).
   [[nodiscard]] Transport* transport_at(int index) const;
@@ -376,6 +384,10 @@ class ShardRouter {
   [[nodiscard]] double hedge_delay_ms() const;
   void record_outcome(int shard_index, bool success);
   void record_shed(int shard_index);
+  /// Decode `bytes`, a reply from `shard`, and account for it once (reply
+  /// bytes, the shard's breaker and sheds, transport timeouts, unreachable
+  /// peers) — the same way for a winner, a failover and a hedge loser.
+  [[nodiscard]] ReplyOutcome classify(const WireBuffer& bytes, int shard);
   void fail_task(RouterTask& task, std::exception_ptr error,
                  bool count_expired = false, bool count_shed = false);
   void deliver(RouterTask& task, serve::RenderResponse response);

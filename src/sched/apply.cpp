@@ -17,12 +17,6 @@ ParallelOptions parallel_options(const Schedule& schedule) {
   return options;
 }
 
-PipelineOptions pipeline_options(const Schedule& schedule,
-                                 PipelineOptions base) {
-  base.parallel = parallel_options(schedule);
-  return base;
-}
-
 std::unique_ptr<Simulator> build_simulator(gpusim::Device& device,
                                            const Schedule& schedule) {
   switch (schedule.simulator) {

@@ -1,11 +1,11 @@
 // Mapping a Schedule onto the machinery that executes it.
 //
 // The tuner decides; these helpers carry the decision into existing types
-// without new execution paths: a Simulator instance for direct rendering,
-// ParallelOptions / PipelineOptions for the frame-sequence pipeline, and
-// LookupTableOptions for the adaptive path. Anything a Schedule cannot
-// express for a given simulator (tile side on the adaptive kernel, LUT
-// resolution on the parallel one) is simply ignored by construction.
+// without new execution paths: a Simulator instance for direct rendering
+// and the ParallelOptions realizing its launch geometry. Anything a
+// Schedule cannot express for a given simulator (tile side on the adaptive
+// kernel, LUT resolution on the parallel one) is simply ignored by
+// construction.
 #pragma once
 
 #include <memory>
@@ -13,7 +13,6 @@
 #include "gpusim/device.h"
 #include "sched/schedule.h"
 #include "starsim/parallel_simulator.h"
-#include "starsim/pipeline.h"
 #include "starsim/simulator.h"
 
 namespace starsim::sched {
@@ -21,11 +20,6 @@ namespace starsim::sched {
 /// ParallelOptions realizing the schedule's ROI tiling (the paper's
 /// untiled kernel when tile_side == 0).
 [[nodiscard]] ParallelOptions parallel_options(const Schedule& schedule);
-
-/// PipelineOptions with the schedule's launch geometry applied on top of
-/// `base` (stream/copy-engine settings and resilience are kept).
-[[nodiscard]] PipelineOptions pipeline_options(const Schedule& schedule,
-                                               PipelineOptions base = {});
 
 /// Instantiate the simulator the schedule names, configured by it.
 /// kMultiGpu is not schedulable and throws PreconditionError.

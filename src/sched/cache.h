@@ -25,7 +25,7 @@
 namespace starsim::sched {
 
 /// One cached decision: the winning schedule plus the modeled costs of it
-/// and the legacy fixed baseline at tune time (serving metrics report the
+/// and the paper's fixed baseline at tune time (serving metrics report the
 /// aggregate modeled win; drift detection compares re-scored costs).
 struct CachedSchedule {
   Schedule schedule;

@@ -17,8 +17,8 @@ namespace {
 
 namespace kc = kernel_cost;
 
-/// Flop-equivalents of one PSF evaluation (same constants the selector and
-/// both kernels meter).
+/// Flop-equivalents of one PSF evaluation under the scene's pixel model
+/// (the same constants the sequential loop and both kernels meter).
 std::uint64_t psf_eval_flops(const gpusim::DeviceSpec& device,
                              const SceneConfig& scene) {
   if (scene.pixel_integration) {
@@ -34,26 +34,192 @@ std::uint64_t image_bytes_of(const SceneConfig& scene) {
          static_cast<std::uint64_t>(scene.image_height) * sizeof(float);
 }
 
-std::uint64_t lut_bytes_of(const SceneConfig& scene,
-                           const LookupTableOptions& lut) {
+/// Entries of the adaptive simulator's lookup table (bins x phases^2 x
+/// ROI area); four bytes each.
+std::uint64_t lut_entries_of(const SceneConfig& scene,
+                             const LookupTableOptions& lut) {
   const double span = scene.magnitude_max - scene.magnitude_min;
   const int bins = std::max(
       1, static_cast<int>(std::ceil(span * lut.bins_per_magnitude)));
-  const std::uint64_t entries =
-      static_cast<std::uint64_t>(bins) *
-      static_cast<std::uint64_t>(lut.subpixel_phases) *
-      static_cast<std::uint64_t>(lut.subpixel_phases) *
-      static_cast<std::uint64_t>(scene.roi_side) *
-      static_cast<std::uint64_t>(scene.roi_side);
-  return entries * sizeof(float);
+  return static_cast<std::uint64_t>(bins) *
+         static_cast<std::uint64_t>(lut.subpixel_phases) *
+         static_cast<std::uint64_t>(lut.subpixel_phases) *
+         static_cast<std::uint64_t>(scene.roi_side) *
+         static_cast<std::uint64_t>(scene.roi_side);
+}
+
+/// Per-frame PCIe traffic of a GPU frame: stars and blank image up, image
+/// down.
+double frame_transfer_s(const gpusim::DeviceSpec& device,
+                        const SceneConfig& scene, std::size_t star_count) {
+  const double image_s =
+      gpusim::estimate_transfer_time(device, image_bytes_of(scene));
+  return gpusim::estimate_transfer_time(device, star_count * sizeof(Star)) +
+         image_s + image_s;
+}
+
+/// Counters shared by the untiled star-centric kernels: launch geometry,
+/// the star load and the per-thread atomic accumulation.
+gpusim::KernelCounters star_centric_counters(const gpusim::DeviceSpec& device,
+                                             const SceneConfig& scene,
+                                             std::size_t star_count) {
+  scene.validate();
+  STARSIM_REQUIRE(star_count > 0, "prediction needs at least one star");
+  const auto n = static_cast<std::uint64_t>(star_count);
+  const auto side = static_cast<std::uint64_t>(scene.roi_side);
+  const std::uint64_t tpb = side * side;
+  const std::uint64_t wpb =
+      (tpb + static_cast<std::uint64_t>(device.warp_size) - 1) /
+      static_cast<std::uint64_t>(device.warp_size);
+  const gpusim::LaunchConfig config =
+      star_centric_config(star_count, scene.roi_side);
+
+  gpusim::KernelCounters c;
+  c.blocks_launched = config.total_blocks();
+  c.threads_launched = c.blocks_launched * tpb;
+  c.warps_launched = c.blocks_launched * wpb;
+
+  // Thread (0,0) of each active block: star load + brightness staging.
+  // The lone 16-byte load coalesces into one transaction; the staged
+  // shared values are read warp-wide at the same address (broadcast), so
+  // no bank conflicts arise.
+  c.global_reads = n;
+  c.global_bytes_read = n * sizeof(Star);
+  c.global_transactions = n;
+  c.shared_bank_conflicts = 0;
+
+  // Every thread of each active block accumulates one pixel.
+  const std::uint64_t threads = n * tpb;
+  c.atomic_ops = threads;
+  c.global_bytes_read += threads * sizeof(float);
+  c.global_bytes_written += threads * sizeof(float);
+  c.barriers = n * wpb;
+  c.branch_sites_evaluated = n * wpb;
+  return c;
+}
+
+/// Kernel time, utilization and throughput of a GPU column from its
+/// predicted counters.
+void price_kernel(const gpusim::DeviceSpec& device,
+                  const gpusim::LaunchConfig& config,
+                  TimingBreakdown& column) {
+  const gpusim::KernelTiming timing =
+      gpusim::estimate_kernel_time(device, config, column.counters);
+  column.kernel_s = timing.kernel_s;
+  column.utilization = timing.utilization;
+  column.achieved_gflops = timing.achieved_gflops;
 }
 
 }  // namespace
 
 CostModel::CostModel(gpusim::DeviceSpec device, gpusim::HostSpec host)
-    : device_(std::move(device)),
-      host_(host),
-      selector_(device_, host_, LookupTableOptions{}) {}
+    : device_(std::move(device)), host_(host) {}
+
+gpusim::KernelCounters CostModel::predict_parallel_counters(
+    const SceneConfig& scene, std::size_t star_count) const {
+  gpusim::KernelCounters c =
+      star_centric_counters(device_, scene, star_count);
+  const auto n = static_cast<std::uint64_t>(star_count);
+  const std::uint64_t threads = c.atomic_ops;
+  c.shared_writes = n * 3;
+  c.flops += n * (BrightnessModel::kArithmeticFlops +
+                  static_cast<std::uint64_t>(device_.pow_flop_equiv) +
+                  kc::kWeightFlops);
+  c.shared_reads = threads * 3;
+  c.flops += threads * (kc::kCoordFlops + kc::kBoundsFlops);
+  // Interior stars: every thread passes the bounds test.
+  c.flops += threads * (psf_eval_flops(device_, scene) + kc::kAccumFlops);
+  c.atomic_conflicts = 0;  // scattered stars (measured value may be small >0)
+  c.divergent_warp_branches = 0;
+  return c;
+}
+
+gpusim::KernelCounters CostModel::predict_adaptive_counters(
+    const SceneConfig& scene, std::size_t star_count,
+    const LookupTableOptions& lut) const {
+  gpusim::KernelCounters c =
+      star_centric_counters(device_, scene, star_count);
+  const auto n = static_cast<std::uint64_t>(star_count);
+  const std::uint64_t threads = c.atomic_ops;
+  c.shared_writes = n * 4;
+  c.shared_reads = threads * 4;
+  c.flops += threads * (kc::kCoordFlops + kc::kBoundsFlops +
+                        kc::kLutIndexFlops + kc::kAccumFlops);
+  c.texture_fetches = threads;
+  // Hit/miss estimate: the whole table is touched cold once per SM; capacity
+  // misses appear only when the table outgrows the per-SM cache.
+  const std::uint64_t lut_bytes = lut_entries_of(scene, lut) * sizeof(float);
+  const auto line = static_cast<std::uint64_t>(device_.texture_cache_line_bytes);
+  const std::uint64_t table_lines = (lut_bytes + line - 1) / line;
+  const double sm_cache = static_cast<double>(device_.texture_cache_bytes_per_sm);
+  const double reuse = std::min(
+      1.0, sm_cache / static_cast<double>(std::max<std::uint64_t>(1, lut_bytes)));
+  const std::uint64_t cold =
+      std::min(c.texture_fetches,
+               table_lines * static_cast<std::uint64_t>(device_.sm_count));
+  const auto capacity_misses = static_cast<std::uint64_t>(
+      (1.0 - reuse) * static_cast<double>(c.texture_fetches - cold));
+  c.texture_misses = cold + capacity_misses;
+  c.texture_hits = c.texture_fetches - c.texture_misses;
+  return c;
+}
+
+std::uint64_t CostModel::predict_sequential_flops(
+    const SceneConfig& scene, std::size_t star_count) const {
+  scene.validate();
+  const auto n = static_cast<std::uint64_t>(star_count);
+  const auto area = static_cast<std::uint64_t>(scene.roi_side) *
+                    static_cast<std::uint64_t>(scene.roi_side);
+  const std::uint64_t per_star =
+      BrightnessModel::kArithmeticFlops +
+      static_cast<std::uint64_t>(device_.pow_flop_equiv) + kc::kWeightFlops;
+  const std::uint64_t per_pixel = kc::kCoordFlops + kc::kBoundsFlops +
+                                  psf_eval_flops(device_, scene) +
+                                  kc::kAccumFlops;
+  return n * (per_star + area * per_pixel);
+}
+
+Prediction CostModel::predict(const SceneConfig& scene,
+                              std::size_t star_count,
+                              const LookupTableOptions& lut) const {
+  Prediction p;
+  p.sequential_s = host_.scalar_time_s(
+      static_cast<double>(predict_sequential_flops(scene, star_count)));
+
+  const gpusim::LaunchConfig config =
+      star_centric_config(star_count, scene.roi_side);
+  const double star_s =
+      gpusim::estimate_transfer_time(device_, star_count * sizeof(Star));
+  const double image_s =
+      gpusim::estimate_transfer_time(device_, image_bytes_of(scene));
+
+  // Parallel: stars + blank image up, image down.
+  p.parallel.counters = predict_parallel_counters(scene, star_count);
+  price_kernel(device_, config, p.parallel);
+  p.parallel.h2d_s = star_s + image_s;
+  p.parallel.d2h_s = image_s;
+
+  // Adaptive: additionally builds, uploads and binds the lookup table.
+  p.adaptive.counters = predict_adaptive_counters(scene, star_count, lut);
+  price_kernel(device_, config, p.adaptive);
+  const std::uint64_t lut_entries = lut_entries_of(scene, lut);
+  p.adaptive.h2d_s = star_s + image_s +
+                     gpusim::estimate_transfer_time(
+                         device_, lut_entries * sizeof(float));
+  p.adaptive.d2h_s = image_s;
+  p.adaptive.lut_build_s =
+      host_.lut_build_time_s(static_cast<double>(lut_entries));
+  p.adaptive.texture_bind_s = device_.texture_bind_s;
+
+  p.best_gpu = p.adaptive.application_s() < p.parallel.application_s()
+                   ? SimulatorKind::kAdaptive
+                   : SimulatorKind::kParallel;
+  const double best_gpu_s = std::min(p.parallel.application_s(),
+                                     p.adaptive.application_s());
+  p.best = p.sequential_s < best_gpu_s ? SimulatorKind::kSequential
+                                       : p.best_gpu;
+  return p;
+}
 
 gpusim::KernelCounters CostModel::predict_tiled_parallel_counters(
     const SceneConfig& scene, std::size_t star_count, int tile_side) const {
@@ -112,29 +278,23 @@ CostBreakdown CostModel::score_parallel(const SceneConfig& scene,
                                         std::size_t star_count,
                                         const Schedule& schedule) const {
   CostBreakdown cost;
-  if (!schedule.tiled()) {
-    // Bit-identical to the legacy advisor's parallel column.
-    const Prediction p = selector_.predict(scene, star_count);
-    cost.kernel_s = p.parallel.kernel_s;
-    cost.transfer_s = p.parallel.h2d_s + p.parallel.d2h_s;
-    cost.counters = p.parallel.counters;
-    cost.application_s = p.parallel.application_s();
-    return cost;
+  std::size_t blocks = star_count;
+  int block_side = scene.roi_side;
+  if (schedule.tiled()) {
+    const auto tiles_per_axis =
+        static_cast<std::size_t>(scene.roi_side / schedule.tile_side);
+    blocks *= tiles_per_axis * tiles_per_axis;
+    block_side = schedule.tile_side;
+    cost.counters =
+        predict_tiled_parallel_counters(scene, star_count, schedule.tile_side);
+  } else {
+    cost.counters = predict_parallel_counters(scene, star_count);
   }
-  cost.counters =
-      predict_tiled_parallel_counters(scene, star_count, schedule.tile_side);
-  const std::uint64_t tiles_per_axis =
-      static_cast<std::uint64_t>(scene.roi_side / schedule.tile_side);
-  const gpusim::LaunchConfig config = star_centric_config(
-      star_count * tiles_per_axis * tiles_per_axis, schedule.tile_side);
-  const gpusim::KernelTiming timing =
-      gpusim::estimate_kernel_time(device_, config, cost.counters);
-  cost.kernel_s = timing.kernel_s;
-  const std::uint64_t star_bytes = star_count * sizeof(Star);
-  const std::uint64_t image_bytes = image_bytes_of(scene);
-  cost.transfer_s = gpusim::estimate_transfer_time(device_, star_bytes) +
-                    gpusim::estimate_transfer_time(device_, image_bytes) +
-                    gpusim::estimate_transfer_time(device_, image_bytes);
+  cost.kernel_s =
+      gpusim::estimate_kernel_time(
+          device_, star_centric_config(blocks, block_side), cost.counters)
+          .kernel_s;
+  cost.transfer_s = frame_transfer_s(device_, scene, star_count);
   cost.application_s = cost.kernel_s + cost.transfer_s;
   return cost;
 }
@@ -143,20 +303,20 @@ CostBreakdown CostModel::score_adaptive(const SceneConfig& scene,
                                         std::size_t star_count,
                                         const Schedule& schedule) const {
   CostBreakdown cost;
-  const Prediction p = selector_.predict(scene, star_count, schedule.lut);
-  cost.kernel_s = p.adaptive.kernel_s;
-  cost.counters = p.adaptive.counters;
-  const std::uint64_t star_bytes = star_count * sizeof(Star);
-  const std::uint64_t image_bytes = image_bytes_of(scene);
-  cost.transfer_s = gpusim::estimate_transfer_time(device_, star_bytes) +
-                    gpusim::estimate_transfer_time(device_, image_bytes) +
-                    gpusim::estimate_transfer_time(device_, image_bytes);
+  cost.counters = predict_adaptive_counters(scene, star_count, schedule.lut);
+  cost.kernel_s =
+      gpusim::estimate_kernel_time(
+          device_, star_centric_config(star_count, scene.roi_side),
+          cost.counters)
+          .kernel_s;
+  cost.transfer_s = frame_transfer_s(device_, scene, star_count);
   // The per-scene setup a batch pays once: table upload, CPU-side build,
   // texture bind (AdaptiveSimulator::simulate_batch's amortization).
+  const std::uint64_t lut_entries = lut_entries_of(scene, schedule.lut);
   const double shared_setup =
-      gpusim::estimate_transfer_time(device_,
-                                     lut_bytes_of(scene, schedule.lut)) +
-      p.adaptive.lut_build_s + p.adaptive.texture_bind_s;
+      gpusim::estimate_transfer_time(device_, lut_entries * sizeof(float)) +
+      host_.lut_build_time_s(static_cast<double>(lut_entries)) +
+      device_.texture_bind_s;
   cost.setup_s =
       shared_setup / static_cast<double>(std::max<std::size_t>(
                          1, schedule.batch_hint));
@@ -218,11 +378,7 @@ CostBreakdown CostModel::score_pixel_centric(const SceneConfig& scene,
   const gpusim::KernelTiming timing =
       gpusim::estimate_kernel_time(device_, config, c);
   cost.kernel_s = timing.kernel_s;
-  const std::uint64_t star_bytes = n * sizeof(Star);
-  const std::uint64_t image_bytes = image_bytes_of(scene);
-  cost.transfer_s = gpusim::estimate_transfer_time(device_, star_bytes) +
-                    gpusim::estimate_transfer_time(device_, image_bytes) +
-                    gpusim::estimate_transfer_time(device_, image_bytes);
+  cost.transfer_s = frame_transfer_s(device_, scene, star_count);
   cost.application_s = cost.kernel_s + cost.transfer_s;
   return cost;
 }
@@ -236,7 +392,7 @@ CostBreakdown CostModel::score(const SceneConfig& scene,
     case SimulatorKind::kSequential: {
       CostBreakdown cost;
       cost.host_s = host_.scalar_time_s(static_cast<double>(
-          selector_.predict_sequential_flops(scene, star_count)));
+          predict_sequential_flops(scene, star_count)));
       cost.application_s = cost.host_s;
       return cost;
     }
@@ -246,7 +402,7 @@ CostBreakdown CostModel::score(const SceneConfig& scene,
           schedule.cpu_threads > 0 ? schedule.cpu_threads : host_.cores;
       const int used = std::clamp(threads, 1, host_.cores);
       const auto flops = static_cast<double>(
-          selector_.predict_sequential_flops(scene, star_count));
+          predict_sequential_flops(scene, star_count));
       // Same loops as sequential split over `used` cores, plus streaming
       // the worker-private partial images through host memory once
       // (OpenMpSimulator's reduction).

@@ -1,19 +1,31 @@
-// The schedule cost model: modeled per-frame application time of any
-// Schedule, priced purely by gpusim::perf_model / HostSpec — no real-GPU
-// runs, microseconds per evaluation.
+// The cost model: modeled application time of the paper's simulators and
+// of any Schedule, priced purely by gpusim::perf_model / HostSpec — no
+// real-GPU runs, microseconds per evaluation.
 //
-// Exactness contract: for the paper's fixed schedules (untiled parallel,
-// adaptive at the floor LUT resolution, batch 1, sequential CPU) this model
-// delegates to SimulatorSelector::predict and therefore produces *the same
-// doubles* as the legacy Table III advisor — which is what guarantees a
-// tuned schedule is never worse than either fixed simulator: both fixed
-// points are in the search space with unchanged scores. Tiled star-centric
-// launches get their own counter prediction mirroring
-// tiled_parallel_kernel arithmetic step for step (exact for interior stars
-// because the space only proposes tile sides dividing the ROI — no partial
-// tiles, no divergence). The pixel-centric ablation is priced with an
-// approximate divergence/cache estimate, documented as such; it exists so
-// the decomposition axis is complete, not because it ever wins.
+// The paper closes with a selection rule (Table III): below the inflection
+// point (2^13 stars at ROI 10, or ROI side 10 at 8192 stars) use the
+// parallel simulator, above it the adaptive one, and for very small fields
+// (~up to 2^7 stars) the sequential simulator "can be a competent choice".
+// Rather than hard-coding those numbers, predict() reconstructs the exact
+// execution counters each kernel would produce (the kernels are
+// deterministic in their work) and prices them with the same performance
+// and transfer models the simulators report against. The predictions are
+// exact for interior stars — the test suite checks them counter for
+// counter against real launches, and pins them bit for bit over the
+// Table III grid.
+//
+// score() prices the paper's fixed schedules (untiled parallel, adaptive at
+// the floor LUT resolution, sequential CPU) from the same counter
+// predictions and transfer prices as predict(), so both give the same
+// doubles for them — which is what guarantees a tuned schedule is never
+// worse than either fixed simulator: both fixed points are in the search
+// space with unchanged scores. Tiled star-centric launches get their own
+// counter prediction mirroring tiled_parallel_kernel arithmetic step for
+// step (exact for interior stars because the space only proposes tile
+// sides dividing the ROI — no partial tiles, no divergence). The
+// pixel-centric ablation is priced with an approximate divergence/cache
+// estimate, documented as such; it exists so the decomposition axis is
+// complete, not because it ever wins.
 #pragma once
 
 #include <cstdint>
@@ -22,9 +34,18 @@
 #include "gpusim/device_spec.h"
 #include "gpusim/host_spec.h"
 #include "sched/schedule.h"
-#include "starsim/selector.h"
+#include "starsim/breakdown.h"
 
 namespace starsim::sched {
+
+/// The three-way Table III prediction for one workload.
+struct Prediction {
+  double sequential_s = 0.0;   ///< modeled CPU application time
+  TimingBreakdown parallel;    ///< modeled, counters filled analytically
+  TimingBreakdown adaptive;    ///< modeled, counters filled analytically
+  SimulatorKind best = SimulatorKind::kSequential;      ///< of all three
+  SimulatorKind best_gpu = SimulatorKind::kParallel;    ///< Table III answer
+};
 
 struct CostBreakdown {
   /// Per-frame modeled application time with per-scene setup amortized
@@ -51,6 +72,24 @@ class CostModel {
                                     std::size_t star_count,
                                     const Schedule& schedule) const;
 
+  /// Full three-way application-time prediction; only the adaptive column
+  /// depends on the lookup-table geometry.
+  [[nodiscard]] Prediction predict(const SceneConfig& scene,
+                                   std::size_t star_count,
+                                   const LookupTableOptions& lut = {}) const;
+
+  /// Counters the parallel kernel produces for `star_count` interior stars
+  /// (no ROI clipping; conflicts predicted as zero).
+  [[nodiscard]] gpusim::KernelCounters predict_parallel_counters(
+      const SceneConfig& scene, std::size_t star_count) const;
+
+  /// Counters the adaptive kernel produces with this lookup-table geometry;
+  /// the texture hit/miss split is estimated (cold misses per active SM),
+  /// every other field is exact.
+  [[nodiscard]] gpusim::KernelCounters predict_adaptive_counters(
+      const SceneConfig& scene, std::size_t star_count,
+      const LookupTableOptions& lut) const;
+
   /// Counters the tiled star-centric kernel produces for interior stars
   /// when tile_side divides the ROI side exactly (the only tilings the
   /// schedule space proposes). Mirrors tiled_parallel_kernel's arithmetic;
@@ -58,9 +97,12 @@ class CostModel {
   [[nodiscard]] gpusim::KernelCounters predict_tiled_parallel_counters(
       const SceneConfig& scene, std::size_t star_count, int tile_side) const;
 
+  /// Flop-equivalents of the sequential simulator.
+  [[nodiscard]] std::uint64_t predict_sequential_flops(
+      const SceneConfig& scene, std::size_t star_count) const;
+
   [[nodiscard]] const gpusim::DeviceSpec& device() const { return device_; }
   [[nodiscard]] const gpusim::HostSpec& host() const { return host_; }
-  [[nodiscard]] const SimulatorSelector& selector() const { return selector_; }
 
  private:
   [[nodiscard]] CostBreakdown score_parallel(const SceneConfig& scene,
@@ -74,7 +116,6 @@ class CostModel {
 
   gpusim::DeviceSpec device_;
   gpusim::HostSpec host_;
-  SimulatorSelector selector_;  ///< the legacy analytic predictor, reused
 };
 
 }  // namespace starsim::sched

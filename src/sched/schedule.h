@@ -72,7 +72,7 @@ struct Workload {
     const Workload& workload, const LookupTableOptions& lut_floor,
     const gpusim::DeviceSpec& device);
 
-/// The legacy fixed schedule for `kind`: untiled star-centric launch,
+/// The paper's fixed schedule for `kind`: untiled star-centric launch,
 /// floor lookup-table resolution, all CPU cores. The paper's Table III
 /// policy is exactly a choice among these degenerate schedules.
 [[nodiscard]] Schedule fixed_schedule(SimulatorKind kind,

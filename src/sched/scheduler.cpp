@@ -9,7 +9,6 @@ namespace starsim::sched {
 Scheduler::Scheduler(SchedulerOptions options)
     : options_(std::move(options)),
       tuner_(CostModel(options_.device, options_.host), options_.tuner),
-      legacy_(options_.device, options_.host, options_.lut_floor),
       cache_(options_.cache_capacity) {}
 
 CachedSchedule Scheduler::schedule_locked(const SceneConfig& scene,
@@ -73,19 +72,9 @@ SimulatorKind Scheduler::choose(const SceneConfig& scene,
     }
     return *preference;
   }
-  try {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return schedule_locked(scene, star_count, /*batch_hint=*/0).schedule
-        .simulator;
-  } catch (const support::Error&) {
-    // Degrade to the legacy Table III advisor rather than failing the
-    // request: a scheduling bug must never take serving down.
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.fallbacks;
-    }
-    return legacy_.choose(scene, star_count);
-  }
+  std::lock_guard<std::mutex> lock(mutex_);
+  return schedule_locked(scene, star_count, /*batch_hint=*/0).schedule
+      .simulator;
 }
 
 bool Scheduler::save_cache(const std::string& path) const {

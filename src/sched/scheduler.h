@@ -1,13 +1,12 @@
 // Scheduler — the serving-facing facade over ScheduleCache + Tuner.
 //
-// This is what replaces the hand-tuned SimulatorSelector at decision
-// sites: one choose() call resolves a workload to a simulator through the
-// schedule cache (hash lookup on the hot path, a microsecond tune on a
-// miss), composes with per-request pinning (the override always wins, but
-// its modeled cost is still recorded against the tuned decision so
-// operators can see pinning drift), and degrades to the legacy Table III
-// inflection-point selector if the tuner ever throws. All counters needed
-// for the starsim_sched_* Prometheus families accumulate here.
+// The one place serving decides how to render a workload: choose()
+// resolves it to a simulator through the schedule cache (hash lookup on the
+// hot path, a microsecond tune on a miss) and composes with per-request
+// pinning (the override always wins, but its modeled cost is still
+// recorded against the tuned decision so operators can see pinning drift).
+// All counters needed for the starsim_sched_* Prometheus families
+// accumulate here.
 #pragma once
 
 #include <cstdint>
@@ -17,7 +16,6 @@
 
 #include "sched/cache.h"
 #include "sched/tuner.h"
-#include "starsim/selector.h"
 
 namespace starsim::sched {
 
@@ -39,9 +37,10 @@ struct SchedulerStats {
   std::uint64_t tuner_invocations = 0;
   std::uint64_t candidates_evaluated = 0;
   std::uint64_t overrides_recorded = 0;
+  /// Pinned requests whose tuned drift could not be scored.
   std::uint64_t fallbacks = 0;
   /// Sum of modeled per-frame seconds of every tuned decision and of the
-  /// legacy fixed baseline for the same workloads — their ratio is the
+  /// best fixed baseline for the same workloads — their ratio is the
   /// aggregate modeled speedup the scheduler claims.
   double tuned_modeled_s_total = 0.0;
   double fallback_modeled_s_total = 0.0;
@@ -56,9 +55,11 @@ class Scheduler {
 
   /// The simulator the tuned schedule picks for this workload. `preference`
   /// (a pinned request) always wins when set; the tuned decision is still
-  /// computed/cached so drift is recorded. Empty fields are kSequential by
-  /// convention (nothing to render — matches FrameService). Never throws:
-  /// tuner failures fall back to the legacy selector.
+  /// computed/cached so drift is recorded, and the pinned path never throws:
+  /// a drift that cannot be scored ticks `fallbacks` and the pin stands.
+  /// Unpinned, an invalid workload throws PreconditionError. Empty fields
+  /// are kSequential by convention (nothing to render — matches
+  /// FrameService).
   [[nodiscard]] SimulatorKind choose(
       const SceneConfig& scene, std::size_t star_count,
       std::optional<SimulatorKind> preference = std::nullopt);
@@ -76,9 +77,6 @@ class Scheduler {
 
   [[nodiscard]] SchedulerStats stats() const;
   [[nodiscard]] const Tuner& tuner() const { return tuner_; }
-  [[nodiscard]] const SimulatorSelector& legacy_selector() const {
-    return legacy_;
-  }
   [[nodiscard]] const SchedulerOptions& options() const { return options_; }
 
  private:
@@ -88,7 +86,6 @@ class Scheduler {
 
   SchedulerOptions options_;
   Tuner tuner_;
-  SimulatorSelector legacy_;
   mutable std::mutex mutex_;  ///< serializes tune-on-miss and stats
   ScheduleCache cache_;
   SchedulerStats stats_;

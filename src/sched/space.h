@@ -34,7 +34,7 @@ class ScheduleSpace {
                          SpaceOptions options = {});
 
   /// One seed per simulator family the tuner's beam starts from. Always
-  /// contains the legacy fixed schedules (untiled parallel, floor-LUT
+  /// contains the paper's fixed schedules (untiled parallel, floor-LUT
   /// adaptive when legal, sequential, all-cores CPU-parallel) — which is
   /// what guarantees the tuner never returns anything worse than the
   /// paper's Table III policy.

@@ -108,7 +108,7 @@ TuningOutcome Tuner::tune(const Workload& workload,
 
   // --- Baselines, scored by the same model (exactness contract: the
   // untiled parallel and floor-LUT adaptive scores here are bit-identical
-  // to SimulatorSelector::predict).
+  // to CostModel::predict).
   TuningOutcome outcome;
   outcome.schedule = best.schedule;
   outcome.cost = best.cost;

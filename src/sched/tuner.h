@@ -35,7 +35,7 @@ struct TunerOptions {
 struct TuningOutcome {
   Schedule schedule;     ///< the winner
   CostBreakdown cost;    ///< its modeled per-frame cost
-  /// The legacy fixed alternatives, scored by the same model (adaptive is
+  /// The paper's fixed alternatives, scored by the same model (adaptive is
   /// +inf when its lookup table cannot fit the device).
   double fixed_parallel_s = 0.0;
   double fixed_adaptive_s = 0.0;

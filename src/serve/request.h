@@ -54,7 +54,7 @@ struct RenderRequest {
   /// camera model at admission (the per-image "catalog prep" the batch
   /// amortization literature pays once).
   std::optional<Quaternion> attitude;
-  /// Pinned simulator; nullopt asks the SimulatorSelector (Table III).
+  /// Pinned simulator; nullopt asks the service's sched::Scheduler.
   std::optional<SimulatorKind> simulator;
   /// Importance class consulted by admission, shedding and batch pickup.
   RequestPriority priority = RequestPriority::kNormal;

@@ -51,18 +51,13 @@ FrameService::FrameService(FrameServiceOptions options)
       cache_(options_.cache_capacity),
       batcher_(options_.max_batch_size) {
   STARSIM_REQUIRE(options_.workers >= 0, "worker count must be non-negative");
-  if (options_.use_scheduler && !options_.scheduler) {
-    // Default scheduler: same modeled device/host (and lookup-table
-    // accuracy floor) as the legacy selector, with the dynamic-batching
-    // cap as the batch hint the adaptive path's setup amortizes over.
+  if (!options_.scheduler) {
+    // Default scheduler: the dynamic-batching cap is the batch hint the
+    // adaptive path's setup amortizes over.
     sched::SchedulerOptions sched_options;
-    sched_options.device = options_.selector.device();
-    sched_options.host = options_.selector.host();
-    sched_options.lut_floor = options_.selector.lut();
     sched_options.batch_hint = std::max<std::size_t>(1, options_.max_batch_size);
     options_.scheduler = std::make_shared<sched::Scheduler>(sched_options);
   }
-  if (!options_.use_scheduler) options_.scheduler.reset();
   pool_ = std::make_unique<WorkerPool>(
       options_.workers, options_.worker,
       [this] { return batcher_.next_batch(queue_); },
@@ -81,30 +76,21 @@ QueuedRequest FrameService::admit(RenderRequest&& request) {
     request.stars = project_to_image(options_.catalog->stars(),
                                      *request.attitude, options_.camera);
   }
-  SimulatorKind kind = SimulatorKind::kSequential;
-  if (request.simulator.has_value()) {
-    kind = *request.simulator;
-    if (kind == SimulatorKind::kMultiGpu) {
-      STARSIM_THROW(support::PreconditionError,
-                    "multi-gpu simulation owns its own devices and cannot be "
-                    "served by single-device workers");
-    }
-    if (options_.scheduler && !request.stars.empty()) {
-      // The pin wins, but routing it through the scheduler records the
-      // modeled cost of honoring it against the tuned decision (and keeps
-      // the schedule cache warm for unpinned traffic on this workload).
-      kind = options_.scheduler->choose(request.scene, request.stars.size(),
-                                        kind);
-    }
-  } else if (!request.stars.empty()) {
-    // The predictions require at least one star; an empty field renders a
-    // blank frame identically fast everywhere.
-    kind = options_.scheduler
-               ? options_.scheduler->choose(request.scene,
-                                            request.stars.size())
-               : options_.selector.choose(request.scene,
-                                          request.stars.size());
+  if (request.simulator == SimulatorKind::kMultiGpu) {
+    STARSIM_THROW(support::PreconditionError,
+                  "multi-gpu simulation owns its own devices and cannot be "
+                  "served by single-device workers");
   }
+  // The predictions require at least one star; an empty field renders a
+  // blank frame identically fast everywhere. A pin wins, but routing it
+  // through the scheduler records the modeled cost of honoring it against
+  // the tuned decision (and keeps the schedule cache warm for unpinned
+  // traffic on this workload).
+  const SimulatorKind kind =
+      request.stars.empty()
+          ? request.simulator.value_or(SimulatorKind::kSequential)
+          : options_.scheduler->choose(request.scene, request.stars.size(),
+                                       request.simulator);
   QueuedRequest queued;
   queued.simulator = kind;
   queued.scene_key = fingerprint_scene(request.scene);
@@ -536,7 +522,7 @@ ServiceStats FrameService::stats() const {
                          ? static_cast<double>(s.completed) / s.elapsed_s
                          : 0.0;
   s.cache = cache_.stats();
-  if (options_.scheduler) s.sched = options_.scheduler->stats();
+  s.sched = options_.scheduler->stats();
   return s;
 }
 
@@ -745,8 +731,7 @@ std::vector<trace::MetricFamily> FrameService::metric_families(
   }
   {
     MetricFamily f{"starsim_sched_fallbacks_total",
-                   "Admissions that fell back to the legacy Table III "
-                   "selector",
+                   "Pinned requests whose tuned drift could not be scored",
                    MetricType::kCounter, {}};
     f.add(static_cast<double>(s.sched.fallbacks));
     families.push_back(std::move(f));

@@ -35,7 +35,6 @@
 #include "serve/worker_pool.h"
 #include "starsim/catalog.h"
 #include "starsim/projection.h"
-#include "starsim/selector.h"
 #include "support/stats.h"
 #include "support/timer.h"
 #include "trace/metrics.h"
@@ -54,17 +53,13 @@ struct FrameServiceOptions {
   /// Rendered-frame LRU capacity in frames; 0 disables caching.
   std::size_t cache_capacity = 32;
   WorkerOptions worker{};
-  /// Legacy Table III advisor: the fallback when use_scheduler is false
-  /// (and the device/host model the default scheduler is built from).
-  SimulatorSelector selector{};
   /// Cost-model-driven auto-scheduler consulted for requests with no
   /// pinned simulator. Null (the default) builds one at construction from
-  /// the selector's device/host with max_batch_size as its batch hint;
-  /// pass a shared instance to share one schedule cache across services.
+  /// the default SchedulerOptions (GTX480, i7-860, the paper's lookup
+  /// table) with max_batch_size as its batch hint; pass a shared instance
+  /// to share one schedule cache across services or to model another
+  /// device.
   std::shared_ptr<sched::Scheduler> scheduler;
-  /// false restores the legacy selector path verbatim (no cache, no tuner,
-  /// no starsim_sched_* metric activity).
-  bool use_scheduler = true;
   /// Shared catalog + camera for attitude-driven requests; prepared once,
   /// reused by every projection (the amortized "catalog prep").
   std::optional<Catalog> catalog;
@@ -125,8 +120,8 @@ struct ServiceStats {
   double elapsed_s = 0.0;        ///< service lifetime so far
   double throughput_rps = 0.0;   ///< completed / elapsed
   FrameCache::Stats cache;
-  /// Auto-scheduler counters (zero when use_scheduler is false): schedule
-  /// cache traffic, tuner invocations, modeled tuned-vs-fallback seconds.
+  /// Auto-scheduler counters: schedule cache traffic, tuner invocations,
+  /// modeled tuned-vs-fallback seconds.
   sched::SchedulerStats sched;
 
   [[nodiscard]] double cache_hit_rate() const { return cache.hit_rate(); }
@@ -202,9 +197,9 @@ class FrameService {
       std::string_view instance = {}) const;
   [[nodiscard]] const FrameServiceOptions& options() const { return options_; }
   [[nodiscard]] std::size_t queue_depth() const { return queue_.size(); }
-  /// The auto-scheduler admission consults (null iff use_scheduler is
-  /// false). Exposed for warm-start cache load/save around a service's
-  /// lifetime (serve-bench's --schedule-cache).
+  /// The auto-scheduler admission consults. Exposed for warm-start cache
+  /// load/save around a service's lifetime (serve-bench's
+  /// --schedule-cache).
   [[nodiscard]] const std::shared_ptr<sched::Scheduler>& scheduler() const {
     return options_.scheduler;
   }

@@ -1,8 +1,8 @@
 // Shared arithmetic-cost constants for the intensity-model inner loop.
 //
 // The sequential simulator, both GPU kernels, and the analytic work
-// predictor (selector.h) must count identical flop-equivalents for identical
-// work — that is what makes modeled CPU/GPU times comparable and lets the
+// predictor (sched/cost.h) must count identical flop-equivalents for
+// identical work — that is what makes modeled CPU/GPU times comparable and lets the
 // predictor reproduce measured counters exactly. Any change to a kernel's
 // arithmetic must be mirrored here and in every implementation (the
 // predictor-vs-counters tests enforce this).

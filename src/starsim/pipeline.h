@@ -27,9 +27,7 @@ struct PipelineOptions {
   /// Copy engines on the device (GTX480: 1).
   int copy_engines = 1;
   /// Launch geometry for the per-frame parallel simulator (ROI tiling).
-  /// Defaults reproduce the paper's untiled star-centric kernel; an
-  /// auto-scheduler schedule maps onto this through
-  /// sched::pipeline_options().
+  /// Defaults reproduce the paper's untiled star-centric kernel.
   ParallelOptions parallel{};
   /// Run each frame through a ResilientExecutor (parallel -> cpu-parallel
   /// -> sequential on this device) so a faulted frame retries or degrades

@@ -7,16 +7,16 @@
 
 #include <vector>
 
-#include "starsim/selector.h"
+#include "sched/cost.h"
 #include "starsim/workload.h"
 #include "support/stats.h"
 
 namespace {
 
-using starsim::Prediction;
 using starsim::SceneConfig;
 using starsim::SimulatorKind;
-using starsim::SimulatorSelector;
+using starsim::sched::CostModel;
+using starsim::sched::Prediction;
 
 SceneConfig paper_scene(int roi = starsim::kTest1RoiSide) {
   SceneConfig scene;  // 1024 x 1024 per the paper
@@ -27,10 +27,10 @@ SceneConfig paper_scene(int roi = starsim::kTest1RoiSide) {
 TEST(Calibration, Test1InflectionNearTwoToThe13) {
   // Paper: "in test 1 ... the inflection point comes when number of stars
   // reach 2^13". Accept one octave of slack either way.
-  const SimulatorSelector selector;
+  const CostModel model;
   std::size_t inflection = 0;
   for (std::size_t n : starsim::test1_star_counts()) {
-    if (selector.predict(paper_scene(), n).best_gpu ==
+    if (model.predict(paper_scene(), n).best_gpu ==
         SimulatorKind::kAdaptive) {
       inflection = n;
       break;
@@ -43,10 +43,10 @@ TEST(Calibration, Test1InflectionNearTwoToThe13) {
 
 TEST(Calibration, Test2InflectionNearRoiTen) {
   // Paper: "the inflection point comes when side of ROI meets 10".
-  const SimulatorSelector selector;
+  const CostModel model;
   int inflection = 0;
   for (int side : starsim::test2_roi_sides()) {
-    if (selector.predict(paper_scene(side), starsim::kTest2StarCount)
+    if (model.predict(paper_scene(side), starsim::kTest2StarCount)
             .best_gpu == SimulatorKind::kAdaptive) {
       inflection = side;
       break;
@@ -61,9 +61,9 @@ TEST(Calibration, InflectionsAgreeOnThreadCount) {
   // The paper's consistency observation: both inflections occur at the
   // same total work (8192 stars x 100-pixel ROIs), "or else, there must be
   // mistakes in either simulator".
-  const SimulatorSelector selector;
+  const CostModel model;
   const Prediction at_cross =
-      selector.predict(paper_scene(10), starsim::kTest2StarCount);
+      model.predict(paper_scene(10), starsim::kTest2StarCount);
   const double gap = at_cross.parallel.application_s() -
                      at_cross.adaptive.application_s();
   // Within 25% of the adaptive fixed cost of the crossing point.
@@ -74,8 +74,8 @@ TEST(Calibration, TableTwoGflopsBand) {
   // Table II: parallel 95.07 GFLOPS, adaptive 93.8, on a 168 GFLOPS fp64
   // peak. Parallel must land within ~20% of 95 and stay the higher of the
   // two (our adaptive kernel is leaner than the paper's, DESIGN.md).
-  const SimulatorSelector selector;
-  const Prediction p = selector.predict(paper_scene(), 1u << 17);
+  const CostModel model;
+  const Prediction p = model.predict(paper_scene(), 1u << 17);
   EXPECT_GT(p.parallel.achieved_gflops, 75.0);
   EXPECT_LT(p.parallel.achieved_gflops, 115.0);
   EXPECT_GT(p.parallel.achieved_gflops, p.adaptive.achieved_gflops);
@@ -84,11 +84,11 @@ TEST(Calibration, TableTwoGflopsBand) {
 TEST(Calibration, SpeedupsSpanOneToTwoOrdersOfMagnitude) {
   // Abstract: "one to two orders of magnitude speedups with a maximum of
   // 270x ... the average speedup is around 97 times".
-  const SimulatorSelector selector;
+  const CostModel model;
   std::vector<double> speedups;
   double max_speedup = 0.0;
   for (std::size_t n : starsim::test1_star_counts()) {
-    const Prediction p = selector.predict(paper_scene(), n);
+    const Prediction p = model.predict(paper_scene(), n);
     const double s = p.sequential_s / p.parallel.application_s();
     speedups.push_back(s);
     max_speedup = std::max(max_speedup, s);
@@ -106,8 +106,8 @@ TEST(Calibration, AdaptiveAdvantageBeyondInflection) {
   // "The adaptive simulator achieved up to 1.8x compared with the parallel
   // one over the inflection point" — our texture path is cheaper than
   // Fermi's, so accept 1.2x..4x (documented deviation).
-  const SimulatorSelector selector;
-  const Prediction p = selector.predict(paper_scene(), 1u << 17);
+  const CostModel model;
+  const Prediction p = model.predict(paper_scene(), 1u << 17);
   const double ratio =
       p.parallel.application_s() / p.adaptive.application_s();
   EXPECT_GT(ratio, 1.2);
@@ -117,9 +117,9 @@ TEST(Calibration, AdaptiveAdvantageBeyondInflection) {
 TEST(Calibration, TableOneTransmissionTrend) {
   // Table I: transmission 2.43 ms at 2^5 stars rising to 3.01 ms at 2^17
   // (the star array adds 2 MiB).
-  const SimulatorSelector selector;
-  const Prediction small = selector.predict(paper_scene(), 1u << 5);
-  const Prediction large = selector.predict(paper_scene(), 1u << 17);
+  const CostModel model;
+  const Prediction small = model.predict(paper_scene(), 1u << 5);
+  const Prediction large = model.predict(paper_scene(), 1u << 17);
   const double transfer_small = small.adaptive.h2d_s + small.adaptive.d2h_s;
   const double transfer_large = large.adaptive.h2d_s + large.adaptive.d2h_s;
   EXPECT_NEAR(transfer_small, 2.43e-3, 0.5e-3);
@@ -128,9 +128,9 @@ TEST(Calibration, TableOneTransmissionTrend) {
 }
 
 TEST(Calibration, TableOneLutBuildAndBindConstants) {
-  const SimulatorSelector selector;
+  const CostModel model;
   for (std::size_t n : {32u, 8192u, 131072u}) {
-    const Prediction p = selector.predict(paper_scene(), n);
+    const Prediction p = model.predict(paper_scene(), n);
     // Build 0.70-0.72 ms and binding 0.20-0.22 ms across the whole sweep.
     EXPECT_NEAR(p.adaptive.lut_build_s, 0.71e-3, 0.15e-3);
     EXPECT_NEAR(p.adaptive.texture_bind_s, 0.21e-3, 0.02e-3);
@@ -141,31 +141,31 @@ TEST(Calibration, KernelTimeSmallBelowTwoToThe13) {
   // Fig. 11: "when the number of stars is less than 2^13, the kernel
   // execution time of simulators increases little ... and the non-kernel
   // overhead takes up most part of application time".
-  const SimulatorSelector selector;
+  const CostModel model;
   for (std::size_t n : {32u, 256u, 2048u}) {
-    const Prediction p = selector.predict(paper_scene(), n);
+    const Prediction p = model.predict(paper_scene(), n);
     EXPECT_LT(p.parallel.kernel_s, p.parallel.non_kernel_s());
     EXPECT_LT(p.adaptive.kernel_s, p.adaptive.non_kernel_s());
   }
   // And beyond the inflection the kernel dominates the parallel simulator.
-  const Prediction big = selector.predict(paper_scene(), 1u << 17);
+  const Prediction big = model.predict(paper_scene(), 1u << 17);
   EXPECT_GT(big.parallel.kernel_s, big.parallel.non_kernel_s());
 }
 
 TEST(Calibration, NonKernelShareFallsWithRoi) {
   // Fig. 16: the non-kernel percentage drops as ROI grows, faster for the
   // parallel simulator.
-  const SimulatorSelector selector;
+  const CostModel model;
   double prev_parallel = 1.1;
   for (int side : {4, 8, 16, 32}) {
     const Prediction p =
-        selector.predict(paper_scene(side), starsim::kTest2StarCount);
+        model.predict(paper_scene(side), starsim::kTest2StarCount);
     const double share = p.parallel.non_kernel_fraction();
     EXPECT_LT(share, prev_parallel);
     prev_parallel = share;
   }
   const Prediction at32 =
-      selector.predict(paper_scene(32), starsim::kTest2StarCount);
+      model.predict(paper_scene(32), starsim::kTest2StarCount);
   EXPECT_LT(at32.parallel.non_kernel_fraction(),
             at32.adaptive.non_kernel_fraction());
 }
@@ -174,27 +174,27 @@ TEST(Calibration, SequentialCompetitiveOnlyForTinyFields) {
   // Section IV-D bounds the sequential simulator's niche at ~2^7 stars;
   // accept anywhere below 2^11 on our host model, but it must exist and it
   // must end.
-  const SimulatorSelector selector;
-  EXPECT_EQ(selector.choose(paper_scene(), 16), SimulatorKind::kSequential);
-  EXPECT_NE(selector.choose(paper_scene(), 1u << 11),
+  const CostModel model;
+  EXPECT_EQ(model.predict(paper_scene(), 16).best, SimulatorKind::kSequential);
+  EXPECT_NE(model.predict(paper_scene(), 1u << 11).best,
             SimulatorKind::kSequential);
 }
 
 TEST(Calibration, SequentialScalesLinearlyGpuFlatlines) {
   // Fig. 9's qualitative shape: sequential time is linear in stars; the
   // GPU application time is nearly flat below the saturation knee.
-  const SimulatorSelector selector;
+  const CostModel model;
   std::vector<double> stars;
   std::vector<double> seq_times;
   for (std::size_t n : starsim::test1_star_counts()) {
-    const Prediction p = selector.predict(paper_scene(), n);
+    const Prediction p = model.predict(paper_scene(), n);
     stars.push_back(static_cast<double>(n));
     seq_times.push_back(p.sequential_s);
   }
   const auto fit = starsim::support::fit_line(stars, seq_times);
   EXPECT_GT(fit.r_squared, 0.999999);  // exactly linear by construction
-  const Prediction low = selector.predict(paper_scene(), 1u << 5);
-  const Prediction mid = selector.predict(paper_scene(), 1u << 10);
+  const Prediction low = model.predict(paper_scene(), 1u << 5);
+  const Prediction mid = model.predict(paper_scene(), 1u << 10);
   // 32x the stars, far less than 4x the application time.
   EXPECT_LT(mid.parallel.application_s(),
             low.parallel.application_s() * 4.0);

@@ -342,6 +342,62 @@ TEST(FleetChaos, HedgeWinsAgainstAStragglerReplica) {
   EXPECT_LT(elapsed_s, 0.300) << "hedging did not beat the straggler";
 }
 
+TEST(FleetChaos, HedgeLoserDeadlineRepliesSpareTheBreaker) {
+  // A hedge loser whose reply is DeadlineExceededError is classified like
+  // a winner with the same reply: the request's budget ran out, the shard
+  // did not misbehave, so its breaker is not charged. The straggler
+  // primary renders past the deadline while the hedge's frame is served;
+  // the winner's large reply takes the router long enough to encode and
+  // decode that the loser's expiry is ready by the time it is settled.
+  fleet::FleetOptions options;
+  options.shards = 2;
+  options.replicas = 2;
+  options.router_threads = 1;
+  options.hedge_ms = 5.0;
+  options.straggler_shard = 0;
+  options.straggler_ms = 40.0;
+  options.shard.workers = 1;
+  options.shard.cache_capacity = 0;
+  fleet::ShardRouter router(options);
+
+  SceneConfig scene;
+  scene.image_width = 2048;
+  scene.image_height = 2048;
+  scene.roi_side = 10;
+  for (int k = 0; k < 4096; ++k) {
+    scene.psf_sigma = 1.0 + 1e-9 * k;
+    if (router.replicas_for(
+            starsim::serve::fingerprint_scene(scene))[0] == 0) {
+      break;
+    }
+  }
+  ASSERT_EQ(router.replicas_for(starsim::serve::fingerprint_scene(scene))[0],
+            0)
+      << "no probe scene landed on the straggler";
+
+  constexpr int kRequests = 4;
+  for (int i = 0; i < kRequests; ++i) {
+    RenderRequest request =
+        pinned_request(scene, random_stars(40 + i, 4),
+                       SimulatorKind::kSequential);
+    request.deadline_s = 0.030;
+    try {
+      (void)router.render(std::move(request));
+    } catch (const starsim::support::DeadlineExceededError&) {
+      // A loaded host may miss the hedge's deadline too; either way no
+      // shard misbehaved.
+    }
+  }
+  router.stop();
+  const fleet::FleetStats stats = router.stats();
+  EXPECT_GE(stats.hedges_launched, 1u);
+  EXPECT_EQ(stats.in_flight(), 0u);
+  for (const fleet::ShardSnapshot& shard : stats.shards) {
+    EXPECT_EQ(shard.errors, 0u) << "shard " << shard.index;
+    EXPECT_EQ(shard.quarantines, 0u) << "shard " << shard.index;
+  }
+}
+
 // --- Kill during drain: admitted work survives the shard's death ----------
 
 TEST(FleetChaos, KilledShardDrainsAdmittedWorkBeforeGoingDark) {

@@ -7,13 +7,13 @@
 
 #include "gpusim/device.h"
 #include "imageio/bmp.h"
+#include "sched/cost.h"
 #include "starsim/adaptive_simulator.h"
 #include "starsim/catalog.h"
 #include "starsim/multi_gpu_simulator.h"
 #include "starsim/parallel_simulator.h"
 #include "starsim/projection.h"
 #include "starsim/render.h"
-#include "starsim/selector.h"
 #include "starsim/sequential_simulator.h"
 #include "starsim/workload.h"
 
@@ -145,8 +145,8 @@ TEST(Integration, SelectorAgreesWithMeasuredModeledTimes) {
   starsim::ParallelSimulator par(device);
   const auto measured = par.simulate(scene, stars);
 
-  const starsim::SimulatorSelector selector;
-  const auto predicted = selector.predict(scene, stars.size());
+  const starsim::sched::CostModel model;
+  const auto predicted = model.predict(scene, stars.size());
   EXPECT_NEAR(predicted.parallel.kernel_s, measured.timing.kernel_s,
               measured.timing.kernel_s * 0.01);
   EXPECT_NEAR(predicted.parallel.application_s(),

@@ -1,5 +1,5 @@
 // Scheduler — the serving facade: cached tune-on-miss under concurrency,
-// per-request override accounting, legacy fallback, and warm-start
+// per-request override accounting, the pinned path's fallback, and warm-start
 // persistence across scheduler instances.
 #include "sched/scheduler.h"
 
@@ -112,8 +112,9 @@ TEST(SchedScheduler, MultiGpuPinSkipsDriftButCounts) {
 }
 
 TEST(SchedScheduler, PinnedChooseFallsBackOnInvalidScene) {
-  // choose() never throws: an unschedulable workload under a pin keeps the
-  // pin and ticks the fallback counter instead of failing the request.
+  // The pinned path never throws: an unschedulable workload under a pin
+  // keeps the pin and ticks the fallback counter instead of failing the
+  // request.
   sched::Scheduler scheduler;
   SceneConfig invalid = paper_scene();
   invalid.roi_side = 0;
@@ -122,6 +123,18 @@ TEST(SchedScheduler, PinnedChooseFallsBackOnInvalidScene) {
   const sched::SchedulerStats stats = scheduler.stats();
   EXPECT_EQ(stats.fallbacks, 1u);
   EXPECT_EQ(stats.overrides_recorded, 1u);
+}
+
+TEST(SchedScheduler, UnpinnedInvalidSceneThrowsWithoutFallback) {
+  // Unpinned, there is no decision to fall back to: an invalid workload is
+  // the caller's error (FrameService::admit validates first), so choose()
+  // throws and the fallback counter stays for pinned requests only.
+  sched::Scheduler scheduler;
+  SceneConfig invalid = paper_scene();
+  invalid.roi_side = 0;
+  EXPECT_THROW((void)scheduler.choose(invalid, 64),
+               starsim::support::PreconditionError);
+  EXPECT_EQ(scheduler.stats().fallbacks, 0u);
 }
 
 TEST(SchedScheduler, ScheduleForValidates) {

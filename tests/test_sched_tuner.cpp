@@ -1,5 +1,5 @@
 // starsim::sched — tuner determinism, the cost model's exactness contract
-// against SimulatorSelector, the tiled-kernel counter prediction, and the
+// between score() and predict(), the tiled-kernel counter prediction, and the
 // Table III crossover regression the tuned policy must reproduce.
 #include "sched/tuner.h"
 
@@ -14,7 +14,6 @@
 #include "sched/cost.h"
 #include "sched/schedule.h"
 #include "starsim/parallel_simulator.h"
-#include "starsim/selector.h"
 #include "starsim/workload.h"
 #include "support/error.h"
 
@@ -24,7 +23,6 @@ namespace gs = starsim::gpusim;
 namespace sched = starsim::sched;
 using starsim::SceneConfig;
 using starsim::SimulatorKind;
-using starsim::SimulatorSelector;
 using starsim::StarField;
 
 SceneConfig paper_scene(int roi_side) {
@@ -63,13 +61,14 @@ TEST(SchedTuner, DeterministicAcrossInstances) {
 TEST(SchedTuner, FixedBaselinesMatchSelectorPrediction) {
   // The exactness contract (sched/cost.h): the fixed untiled-parallel and
   // floor-LUT adaptive schedules score through the same arithmetic as the
-  // legacy Table III advisor, so the tuner's baselines are the advisor's
-  // own numbers — not a parallel reimplementation that could drift.
-  const SimulatorSelector selector;
+  // Table III prediction, so the tuner's baselines are the prediction's
+  // own numbers (pinned by PredictionGolden) — not a parallel
+  // reimplementation that could drift.
+  const sched::CostModel model;
   const sched::Tuner tuner;
   for (std::size_t stars : {64u, 8192u, 131072u}) {
     const SceneConfig scene = paper_scene(10);
-    const starsim::Prediction prediction = selector.predict(scene, stars);
+    const sched::Prediction prediction = model.predict(scene, stars);
     const sched::TuningOutcome outcome = tuner.tune(workload_of(scene, stars));
     EXPECT_DOUBLE_EQ(outcome.fixed_parallel_s,
                      prediction.parallel.application_s());
@@ -100,8 +99,8 @@ TEST(SchedTuner, TunedNeverWorseThanFixed) {
 TEST(SchedTuner, Table3StarCrossoverPreserved) {
   // Table III: at ROI 10 the adaptive simulator takes over at 2^13 stars.
   // The tuned policy must cross between parallel and adaptive within one
-  // power of two of that (2^12..2^14) — the cost model is the selector's,
-  // so a drift here is a schedule-space bug, not a calibration change.
+  // power of two of that (2^12..2^14) — the cost model is the Table III
+  // predictor, so a drift here is a schedule-space bug, not a calibration change.
   const sched::Tuner tuner;
   std::size_t crossover = 0;
   for (std::size_t stars = 32; stars <= (1u << 17); stars *= 2) {
@@ -120,8 +119,8 @@ TEST(SchedTuner, Table3RoiCrossoverPreserved) {
   // Table III's other axis: at 8192 stars the adaptive simulator takes over
   // at ROI side 10; on the paper's even-stepped test2 grid the tuned policy
   // must cross within [8, 12]. (Odd sides are excluded deliberately: a
-  // 5x5- or 7x7-thread block leaves a partial warp, and the legacy advisor
-  // itself flips to adaptive there — the tuner reproduces that wobble.)
+  // 5x5- or 7x7-thread block leaves a partial warp, and the Table III
+  // prediction itself flips to adaptive there — the tuner reproduces that wobble.)
   const sched::Tuner tuner;
   int crossover = 0;
   for (int roi = 2; roi <= 32; roi += 2) {
@@ -140,8 +139,8 @@ TEST(SchedTuner, TiledCountersMatchRealLaunch) {
   // The tiled star-centric cost prediction mirrors tiled_parallel_kernel
   // step for step. With interior stars and a tile side dividing the ROI
   // exactly (the only tilings the space proposes), every counter must match
-  // a real simulated launch — same check the selector gets for the untiled
-  // kernel in test_starsim_parallel.
+  // a real simulated launch — the check the untiled prediction gets in
+  // test_starsim_parallel.
   const SceneConfig scene = [] {
     SceneConfig s;
     s.image_width = 256;

@@ -351,8 +351,8 @@ TEST(FrameService, SchedulerDrivesUnpinnedRequests) {
   FrameService service(std::move(options));
   ASSERT_NE(service.scheduler(), nullptr);
   RenderRequest request;
-  // Paper-scale 1024x1024 scene with a tiny field: both the legacy Table
-  // III advisor and the auto-scheduler agree the CPU sequential simulator
+  // Paper-scale 1024x1024 scene with a tiny field: the Table III
+  // prediction and the auto-scheduler agree the CPU sequential simulator
   // wins, and the unpinned path must follow the tuned decision.
   request.scene = SceneConfig{};
   request.stars = random_stars(3, 8);
@@ -362,24 +362,6 @@ TEST(FrameService, SchedulerDrivesUnpinnedRequests) {
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.sched.tuner_invocations, 1u);
   EXPECT_EQ(stats.sched.cache.misses, 1u);
-}
-
-TEST(FrameService, LegacySelectorPathWhenSchedulerDisabled) {
-  FrameServiceOptions options;
-  options.workers = 1;
-  options.use_scheduler = false;
-  FrameService service(std::move(options));
-  EXPECT_EQ(service.scheduler(), nullptr);
-  RenderRequest request;
-  request.scene = SceneConfig{};
-  request.stars = random_stars(3, 8);
-  const RenderResponse response = service.render(std::move(request));
-  // Same decision as the scheduler path, reached through the legacy
-  // selector — and no sched counters move.
-  EXPECT_EQ(response.simulator, SimulatorKind::kSequential);
-  const ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.sched.tuner_invocations, 0u);
-  EXPECT_EQ(stats.sched.cache.hits + stats.sched.cache.misses, 0u);
 }
 
 TEST(FrameService, PinnedRequestsRecordSchedulerOverrides) {

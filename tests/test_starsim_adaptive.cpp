@@ -5,8 +5,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "sched/cost.h"
 #include "starsim/parallel_simulator.h"
-#include "starsim/selector.h"
 #include "starsim/sequential_simulator.h"
 #include "starsim/workload.h"
 #include "support/error.h"
@@ -197,9 +197,9 @@ TEST(Adaptive, CountersMatchPredictorOnDeterministicFields) {
   gs::Device device(gs::DeviceSpec::gtx480());
   AdaptiveSimulator ada(device);
   const SimulationResult r = ada.simulate(scene, stars);
-  const starsim::SimulatorSelector selector;
+  const starsim::sched::CostModel model;
   const gs::KernelCounters predicted =
-      selector.predict_adaptive_counters(scene, stars.size());
+      model.predict_adaptive_counters(scene, stars.size(), {});
   EXPECT_EQ(r.timing.counters.threads_launched, predicted.threads_launched);
   EXPECT_EQ(r.timing.counters.flops, predicted.flops);
   EXPECT_EQ(r.timing.counters.shared_reads, predicted.shared_reads);

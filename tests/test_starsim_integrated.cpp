@@ -5,11 +5,11 @@
 #include <algorithm>
 
 #include "gpusim/device.h"
+#include "sched/cost.h"
 #include "starsim/adaptive_simulator.h"
 #include "starsim/openmp_simulator.h"
 #include "starsim/parallel_simulator.h"
 #include "starsim/pixel_centric_simulator.h"
-#include "starsim/selector.h"
 #include "starsim/sequential_simulator.h"
 #include "starsim/workload.h"
 
@@ -125,28 +125,28 @@ TEST(Integrated, PredictorTracksIntegratedFlops) {
 
   // Sequential flop parity.
   SequentialSimulator seq;
-  const starsim::SimulatorSelector selector;
+  const starsim::sched::CostModel model;
   EXPECT_EQ(seq.simulate(scene, stars).timing.counters.flops,
-            selector.predict_sequential_flops(scene, stars.size()));
+            model.predict_sequential_flops(scene, stars.size()));
 
   // Parallel kernel flop parity.
   gs::Device device(gs::DeviceSpec::gtx480());
   starsim::ParallelSimulator parallel(device);
   EXPECT_EQ(parallel.simulate(scene, stars).timing.counters.flops,
-            selector.predict_parallel_counters(scene, stars.size()).flops);
+            model.predict_parallel_counters(scene, stars.size()).flops);
 }
 
 TEST(Integrated, CostsMoreThanPointSamplingOnTheModeledGpu) {
   // Four erf (120 each) vs one exp (160): the integrated kernel is pricier,
   // visible in the modeled kernel time.
-  const starsim::SimulatorSelector selector;
+  const starsim::sched::CostModel model;
   SceneConfig point;
   SceneConfig integ;
   integ.pixel_integration = true;
   const auto t_point =
-      selector.predict(point, 8192).parallel.kernel_s;
+      model.predict(point, 8192).parallel.kernel_s;
   const auto t_integrated =
-      selector.predict(integ, 8192).parallel.kernel_s;
+      model.predict(integ, 8192).parallel.kernel_s;
   EXPECT_GT(t_integrated, t_point * 1.5);
 }
 

@@ -4,7 +4,7 @@
 
 #include <algorithm>
 
-#include "starsim/selector.h"
+#include "sched/cost.h"
 #include "starsim/sequential_simulator.h"
 #include "starsim/workload.h"
 
@@ -104,12 +104,12 @@ TEST(OpenMp, ReductionCostReported) {
 TEST(OpenMp, StillSlowerThanModeledGpuAtScale) {
   // The extension closes some of the gap but not the orders of magnitude —
   // the multicore CPU must not upset the paper's conclusion.
-  const starsim::SimulatorSelector selector;
+  const starsim::sched::CostModel model;
   SceneConfig scene;  // 1024^2
-  const auto prediction = selector.predict(scene, 1u << 15);
+  const auto prediction = model.predict(scene, 1u << 15);
   const double cpu8 = starsim::gpusim::HostSpec::i7_860().parallel_time_s(
       static_cast<double>(
-          selector.predict_sequential_flops(scene, 1u << 15)),
+          model.predict_sequential_flops(scene, 1u << 15)),
       8);
   EXPECT_GT(cpu8 / prediction.parallel.application_s(), 5.0);
 }

@@ -5,8 +5,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "sched/cost.h"
 #include "starsim/device_frame.h"
-#include "starsim/selector.h"
 #include "starsim/sequential_simulator.h"
 #include "starsim/workload.h"
 #include "support/error.h"
@@ -83,9 +83,9 @@ TEST(Parallel, CountersMatchPredictorExactly) {
   ParallelSimulator par(device);
   const SimulationResult r = par.simulate(scene, stars);
 
-  const starsim::SimulatorSelector selector;
+  const starsim::sched::CostModel model;
   const gs::KernelCounters predicted =
-      selector.predict_parallel_counters(scene, stars.size());
+      model.predict_parallel_counters(scene, stars.size());
 
   EXPECT_EQ(r.timing.counters.blocks_launched, predicted.blocks_launched);
   EXPECT_EQ(r.timing.counters.threads_launched, predicted.threads_launched);

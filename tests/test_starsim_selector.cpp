@@ -1,17 +1,18 @@
-#include "starsim/selector.h"
-
+// The Table III selection rule as the cost model predicts it: sequential
+// for tiny fields, parallel below the star-count and ROI inflections,
+// adaptive above them.
 #include <gtest/gtest.h>
 
+#include "sched/cost.h"
 #include "starsim/workload.h"
 #include "support/error.h"
 
 namespace {
 
-namespace gs = starsim::gpusim;
-using starsim::Prediction;
 using starsim::SceneConfig;
 using starsim::SimulatorKind;
-using starsim::SimulatorSelector;
+using starsim::sched::CostModel;
+using starsim::sched::Prediction;
 
 SceneConfig paper_scene(int roi = 10) {
   SceneConfig scene;  // 1024 x 1024
@@ -23,44 +24,44 @@ TEST(Selector, SequentialWinsTinyFields) {
   // Section IV-D: "when the star image is in a very small-scale (num of
   // stars: 0~2^7), the sequential simulator on CPU can be a competent
   // choice".
-  const SimulatorSelector selector;
-  EXPECT_EQ(selector.choose(paper_scene(), 8), SimulatorKind::kSequential);
-  EXPECT_EQ(selector.choose(paper_scene(), 32), SimulatorKind::kSequential);
+  const CostModel model;
+  EXPECT_EQ(model.predict(paper_scene(), 8).best, SimulatorKind::kSequential);
+  EXPECT_EQ(model.predict(paper_scene(), 32).best, SimulatorKind::kSequential);
 }
 
 TEST(Selector, GpuWinsLargeFields) {
-  const SimulatorSelector selector;
-  const SimulatorKind choice = selector.choose(paper_scene(), 1 << 14);
+  const CostModel model;
+  const SimulatorKind choice = model.predict(paper_scene(), 1 << 14).best;
   EXPECT_NE(choice, SimulatorKind::kSequential);
 }
 
 TEST(Selector, ParallelBeforeInflectionAdaptiveAfter) {
   // Table III at ROI 10: parallel below the star-count inflection,
   // adaptive above it.
-  const SimulatorSelector selector;
-  EXPECT_EQ(selector.predict(paper_scene(), 1 << 9).best_gpu,
+  const CostModel model;
+  EXPECT_EQ(model.predict(paper_scene(), 1 << 9).best_gpu,
             SimulatorKind::kParallel);
-  EXPECT_EQ(selector.predict(paper_scene(), 1 << 17).best_gpu,
+  EXPECT_EQ(model.predict(paper_scene(), 1 << 17).best_gpu,
             SimulatorKind::kAdaptive);
 }
 
 TEST(Selector, RoiInflectionAtFixedStars) {
   // Table III at 8192 stars: parallel for small ROI, adaptive for large.
-  const SimulatorSelector selector;
-  EXPECT_EQ(selector.predict(paper_scene(2), starsim::kTest2StarCount).best_gpu,
+  const CostModel model;
+  EXPECT_EQ(model.predict(paper_scene(2), starsim::kTest2StarCount).best_gpu,
             SimulatorKind::kParallel);
   EXPECT_EQ(
-      selector.predict(paper_scene(20), starsim::kTest2StarCount).best_gpu,
+      model.predict(paper_scene(20), starsim::kTest2StarCount).best_gpu,
       SimulatorKind::kAdaptive);
 }
 
 TEST(Selector, GpuChoiceSwitchesExactlyOnceAlongStarSweep) {
-  const SimulatorSelector selector;
+  const CostModel model;
   int switches = 0;
   SimulatorKind previous =
-      selector.predict(paper_scene(), 32).best_gpu;
+      model.predict(paper_scene(), 32).best_gpu;
   for (std::size_t n : starsim::test1_star_counts()) {
-    const SimulatorKind current = selector.predict(paper_scene(), n).best_gpu;
+    const SimulatorKind current = model.predict(paper_scene(), n).best_gpu;
     if (current != previous) ++switches;
     previous = current;
   }
@@ -69,13 +70,13 @@ TEST(Selector, GpuChoiceSwitchesExactlyOnceAlongStarSweep) {
 }
 
 TEST(Selector, GpuChoiceSwitchesExactlyOnceAlongRoiSweep) {
-  const SimulatorSelector selector;
+  const CostModel model;
   int switches = 0;
   SimulatorKind previous =
-      selector.predict(paper_scene(2), starsim::kTest2StarCount).best_gpu;
+      model.predict(paper_scene(2), starsim::kTest2StarCount).best_gpu;
   for (int side : starsim::test2_roi_sides()) {
     const SimulatorKind current =
-        selector.predict(paper_scene(side), starsim::kTest2StarCount).best_gpu;
+        model.predict(paper_scene(side), starsim::kTest2StarCount).best_gpu;
     if (current != previous) ++switches;
     previous = current;
   }
@@ -84,8 +85,8 @@ TEST(Selector, GpuChoiceSwitchesExactlyOnceAlongRoiSweep) {
 }
 
 TEST(Selector, PredictionTimesPositiveAndOrdered) {
-  const SimulatorSelector selector;
-  const Prediction p = selector.predict(paper_scene(), 8192);
+  const CostModel model;
+  const Prediction p = model.predict(paper_scene(), 8192);
   EXPECT_GT(p.sequential_s, 0.0);
   EXPECT_GT(p.parallel.application_s(), 0.0);
   EXPECT_GT(p.adaptive.application_s(), 0.0);
@@ -94,8 +95,8 @@ TEST(Selector, PredictionTimesPositiveAndOrdered) {
 }
 
 TEST(Selector, AdaptiveCarriesFixedExtraNonKernelCost) {
-  const SimulatorSelector selector;
-  const Prediction p = selector.predict(paper_scene(), 1 << 10);
+  const CostModel model;
+  const Prediction p = model.predict(paper_scene(), 1 << 10);
   const double extra =
       p.adaptive.non_kernel_s() - p.parallel.non_kernel_s();
   // Table I: LUT build (~0.71 ms) + texture binding (~0.21 ms) + LUT
@@ -104,77 +105,45 @@ TEST(Selector, AdaptiveCarriesFixedExtraNonKernelCost) {
 }
 
 TEST(Selector, SequentialFlopsScaleLinearlyInStarsAndArea) {
-  const SimulatorSelector selector;
-  const auto base = selector.predict_sequential_flops(paper_scene(10), 100);
-  EXPECT_EQ(selector.predict_sequential_flops(paper_scene(10), 200), 2 * base);
+  const CostModel model;
+  const auto base = model.predict_sequential_flops(paper_scene(10), 100);
+  EXPECT_EQ(model.predict_sequential_flops(paper_scene(10), 200), 2 * base);
   // Quadrupling ROI area roughly quadruples flops (minus per-star terms).
-  const auto big = selector.predict_sequential_flops(paper_scene(20), 100);
+  const auto big = model.predict_sequential_flops(paper_scene(20), 100);
   EXPECT_GT(big, 3 * base);
   EXPECT_LT(big, 4 * base);
 }
 
 TEST(Selector, PredictedCountersScaleWithGeometry) {
-  const SimulatorSelector selector;
-  const auto small = selector.predict_parallel_counters(paper_scene(10), 64);
-  const auto large = selector.predict_parallel_counters(paper_scene(10), 128);
+  const CostModel model;
+  const auto small = model.predict_parallel_counters(paper_scene(10), 64);
+  const auto large = model.predict_parallel_counters(paper_scene(10), 128);
   EXPECT_EQ(large.atomic_ops, 2 * small.atomic_ops);
   EXPECT_EQ(large.threads_launched, 2 * small.threads_launched);
 }
 
 TEST(Selector, UtilizationRampVisibleInPredictions) {
-  const SimulatorSelector selector;
-  const Prediction small = selector.predict(paper_scene(), 32);
-  const Prediction large = selector.predict(paper_scene(), 1 << 15);
+  const CostModel model;
+  const Prediction small = model.predict(paper_scene(), 32);
+  const Prediction large = model.predict(paper_scene(), 1 << 15);
   EXPECT_LT(small.parallel.utilization, 0.5);
   EXPECT_DOUBLE_EQ(large.parallel.utilization, 1.0);
 }
 
 TEST(Selector, RejectsZeroStars) {
-  const SimulatorSelector selector;
-  EXPECT_THROW((void)selector.predict_parallel_counters(paper_scene(), 0),
-               starsim::support::PreconditionError);
-}
-
-TEST(Selector, ExplicitPreferenceOverridesCostModel) {
-  const SimulatorSelector selector;
-  // 8 stars: the cost model says sequential (see SequentialWinsTinyFields),
-  // but a pinned preference must win without consulting the model.
-  EXPECT_EQ(selector.choose(paper_scene(), 8, SimulatorKind::kAdaptive),
-            SimulatorKind::kAdaptive);
-  EXPECT_EQ(selector.choose(paper_scene(), 1 << 17, SimulatorKind::kSequential),
-            SimulatorKind::kSequential);
-  // The preference path never runs the star-count-sensitive predictors, so
-  // zero stars is fine there.
-  EXPECT_EQ(selector.choose(paper_scene(), 0, SimulatorKind::kParallel),
-            SimulatorKind::kParallel);
-}
-
-TEST(Selector, UnsetPreferenceFallsThroughToCostModel) {
-  const SimulatorSelector selector;
-  EXPECT_EQ(selector.choose(paper_scene(), 8, std::nullopt),
-            selector.choose(paper_scene(), 8));
-  EXPECT_EQ(selector.choose(paper_scene(), 1 << 14, std::nullopt),
-            selector.choose(paper_scene(), 1 << 14));
-}
-
-TEST(Selector, PreferencePathStillValidatesScene) {
-  const SimulatorSelector selector;
-  SceneConfig bad = paper_scene();
-  bad.roi_side = 0;
-  EXPECT_THROW((void)selector.choose(bad, 8, SimulatorKind::kParallel),
+  const CostModel model;
+  EXPECT_THROW((void)model.predict_parallel_counters(paper_scene(), 0),
                starsim::support::PreconditionError);
 }
 
 TEST(Selector, CustomLutGeometryShiftsAdaptiveCost) {
   starsim::LookupTableOptions fine;
   fine.bins_per_magnitude = 64;
-  const SimulatorSelector coarse_sel;
-  const SimulatorSelector fine_sel(gs::DeviceSpec::gtx480(),
-                                   gs::HostSpec::i7_860(), fine);
+  const CostModel model;
   const double coarse_build =
-      coarse_sel.predict(paper_scene(), 1024).adaptive.lut_build_s;
+      model.predict(paper_scene(), 1024).adaptive.lut_build_s;
   const double fine_build =
-      fine_sel.predict(paper_scene(), 1024).adaptive.lut_build_s;
+      model.predict(paper_scene(), 1024, fine).adaptive.lut_build_s;
   EXPECT_GT(fine_build, coarse_build * 10.0);
 }
 

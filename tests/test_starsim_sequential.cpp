@@ -4,9 +4,9 @@
 
 #include <cmath>
 
+#include "sched/cost.h"
 #include "starsim/psf.h"
 #include "starsim/roi.h"
-#include "starsim/selector.h"
 #include "support/error.h"
 
 namespace {
@@ -142,9 +142,9 @@ TEST(Sequential, FlopsMatchAnalyticPrediction) {
                          120.0f, 1.0f});
   }
   const SimulationResult r = sim.simulate(scene, stars);
-  const starsim::SimulatorSelector selector;
+  const starsim::sched::CostModel model;
   EXPECT_EQ(r.timing.counters.flops,
-            selector.predict_sequential_flops(scene, stars.size()));
+            model.predict_sequential_flops(scene, stars.size()));
 }
 
 TEST(Sequential, ModeledTimeProportionalToFlops) {
