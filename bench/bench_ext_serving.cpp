@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "gpusim/frame_pool.h"
 #include "imageio/image.h"
 #include "serve/service.h"
 #include "starsim/adaptive_simulator.h"
@@ -126,7 +125,6 @@ int main(int argc, char** argv) {
   // Service, worker fleet, dynamic batching, kClients concurrent clients.
   ModeResult batched;
   std::size_t mismatches = 0;
-  gpusim::detail::frame_pool_stats_reset();
   {
     FrameServiceOptions opts;
     opts.workers = workers;
@@ -163,7 +161,6 @@ int main(int argc, char** argv) {
     batched.wall_s = timer.seconds();
     batched.stats = service.stats();
   }
-  const auto pool = gpusim::detail::frame_pool_stats();
 
   // Replay against a warm cache: repeat traffic never reaches a device.
   ModeResult cached;
@@ -222,10 +219,7 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(histogram[size]));
     }
   }
-  std::printf(
-      "\nframe pool (serve-batch): %llu acquisitions, %.0f%% reused\n",
-      static_cast<unsigned long long>(pool.acquired),
-      pool.reuse_rate() * 100.0);
+  std::puts("");
   std::printf("bit-identity vs direct renders: %s (%zu mismatching frames)\n",
               mismatches == 0 ? "PASS" : "FAIL", mismatches);
   const double speedup = serial.wall_s / batched.wall_s;

@@ -101,7 +101,7 @@ void BM_WorkloadGeneration(benchmark::State& state) {
 }
 BENCHMARK(BM_WorkloadGeneration)->Arg(1024)->Arg(8192);
 
-// Host-side cost of simulating one GPU thread (coroutine create/resume,
+// Host-side cost of simulating one GPU thread (two phases around a barrier,
 // counter updates, one atomic) — the figure that determines how long the
 // paper-scale sweeps take on this machine. range(0) is the block side: 10
 // is test1's ROI (100 threads, 4 warps, the last one partial), 32 the
@@ -110,15 +110,17 @@ void BM_FunctionalEngineThreadCost(benchmark::State& state) {
   gs::Device device(gs::DeviceSpec::gtx480());
   auto image = device.malloc<float>(1 << 16);
   device.memset_zero(image);
-  auto kernel = [&image](gs::ThreadCtx& ctx) -> gs::ThreadProgram {
+  auto kernel = [&image](gs::ThreadCtx& ctx, unsigned phase) {
     auto shared = ctx.shared_array<float>(1);
-    if (ctx.thread_linear() == 0) shared.set(0, 1.0f);
-    co_await ctx.syncthreads();
+    if (phase == 0) {
+      if (ctx.thread_linear() == 0) shared.set(0, 1.0f);
+      return gs::Step::kSync;
+    }
     ctx.count_flops(10);
     ctx.atomic_add(image,
                    (ctx.block_linear() * 97 + ctx.thread_linear()) & 0xffff,
                    shared.get(0));
-    co_return;
+    return gs::Step::kExit;
   };
   const auto side = static_cast<std::uint32_t>(state.range(0));
   const gs::LaunchConfig config{gs::Dim3(64), gs::Dim3(side, side)};
@@ -148,15 +150,17 @@ void BM_FunctionalEngineTextureThreadCost(benchmark::State& state) {
       device.bind_texture_2d(table, width, height, gs::AddressMode::kClamp);
   auto image = device.malloc<float>(1 << 16);
   device.memset_zero(image);
-  auto kernel = [&image, lut, side](gs::ThreadCtx& ctx) -> gs::ThreadProgram {
+  auto kernel = [&image, lut, side](gs::ThreadCtx& ctx, unsigned phase) {
     auto shared = ctx.shared_array<float>(4);
-    if (ctx.thread_linear() == 0) {
-      shared.set(0, static_cast<float>(ctx.block_linear() % kBins));
-      shared.set(1, static_cast<float>(ctx.block_linear() * 7 % 200));
-      shared.set(2, static_cast<float>(ctx.block_linear() * 13 % 200));
-      shared.set(3, 1.0f);
+    if (phase == 0) {
+      if (ctx.thread_linear() == 0) {
+        shared.set(0, static_cast<float>(ctx.block_linear() % kBins));
+        shared.set(1, static_cast<float>(ctx.block_linear() * 7 % 200));
+        shared.set(2, static_cast<float>(ctx.block_linear() * 13 % 200));
+        shared.set(3, 1.0f);
+      }
+      return gs::Step::kSync;
     }
-    co_await ctx.syncthreads();
     const auto bin = static_cast<int>(shared.get(0));
     const auto x = static_cast<std::uint64_t>(shared.get(1)) +
                    ctx.thread_idx().x;
@@ -169,7 +173,7 @@ void BM_FunctionalEngineTextureThreadCost(benchmark::State& state) {
         lut, static_cast<int>(ctx.thread_idx().x),
         bin * static_cast<int>(side) + static_cast<int>(ctx.thread_idx().y));
     ctx.atomic_add(image, (y * 256 + x) & 0xffff, value * weight);
-    co_return;
+    return gs::Step::kExit;
   };
   const gs::LaunchConfig config{gs::Dim3(64), gs::Dim3(side, side)};
   for (auto _ : state) {
@@ -199,15 +203,17 @@ void BM_FunctionalEngineThreadCostSanitized(benchmark::State& state) {
   }
   auto image = device.malloc<float>(1 << 16);
   device.memset_zero(image);
-  auto kernel = [&image](gs::ThreadCtx& ctx) -> gs::ThreadProgram {
+  auto kernel = [&image](gs::ThreadCtx& ctx, unsigned phase) {
     auto shared = ctx.shared_array<float>(1);
-    if (ctx.thread_linear() == 0) shared.set(0, 1.0f);
-    co_await ctx.syncthreads();
+    if (phase == 0) {
+      if (ctx.thread_linear() == 0) shared.set(0, 1.0f);
+      return gs::Step::kSync;
+    }
     ctx.count_flops(10);
     ctx.atomic_add(image,
                    (ctx.block_linear() * 97 + ctx.thread_linear()) & 0xffff,
                    shared.get(0));
-    co_return;
+    return gs::Step::kExit;
   };
   const gs::LaunchConfig config{gs::Dim3(64), gs::Dim3(10, 10)};
   for (auto _ : state) {
@@ -237,15 +243,17 @@ void BM_FunctionalEngineThreadCostTraced(benchmark::State& state) {
   gs::Device device(gs::DeviceSpec::gtx480());
   auto image = device.malloc<float>(1 << 16);
   device.memset_zero(image);
-  auto kernel = [&image](gs::ThreadCtx& ctx) -> gs::ThreadProgram {
+  auto kernel = [&image](gs::ThreadCtx& ctx, unsigned phase) {
     auto shared = ctx.shared_array<float>(1);
-    if (ctx.thread_linear() == 0) shared.set(0, 1.0f);
-    co_await ctx.syncthreads();
+    if (phase == 0) {
+      if (ctx.thread_linear() == 0) shared.set(0, 1.0f);
+      return gs::Step::kSync;
+    }
     ctx.count_flops(10);
     ctx.atomic_add(image,
                    (ctx.block_linear() * 97 + ctx.thread_linear()) & 0xffff,
                    shared.get(0));
-    co_return;
+    return gs::Step::kExit;
   };
   const gs::LaunchConfig config{gs::Dim3(64), gs::Dim3(10, 10)};
   std::int64_t since_clear = 0;

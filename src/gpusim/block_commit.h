@@ -115,11 +115,7 @@ class BlockCommitQueue {
 
   void apply(const BlockEffects& effects) {
     for (const BlockEffects::Add& add : effects.adds) {
-      // Relaxed atomic access: a parallel atomic_add reads the element
-      // while it is committed to.
-      std::atomic_ref<float> cell(*add.target);
-      cell.store(cell.load(std::memory_order_relaxed) + add.value,
-                 std::memory_order_relaxed);
+      *add.target += add.value;
     }
     if (effects.texture_addresses.empty()) return;
     SetAssociativeCache& cache =

@@ -230,7 +230,7 @@ class Device {
 
   // --- Execution -------------------------------------------------------------------
   /// Launch `kernel` over `config`. The kernel is any callable
-  /// `ThreadProgram(ThreadCtx&)`. Blocks run concurrently across host
+  /// `Step(ThreadCtx&, unsigned phase)` (see Step). Blocks run concurrently across host
   /// threads when parallel_blocks() is enabled (OpenMP builds only); their
   /// float atomics and texture-cache lookups are committed in block order,
   /// so the memory, counters and timing equal a serial launch's.

@@ -1,56 +1,18 @@
-// Pooled allocation for simulated-thread coroutine frames.
-//
-// A large kernel launch creates millions of short-lived coroutines (one per
-// simulated CUDA thread). Routing their frames through a thread-local
-// free-list keyed by size removes the general-purpose allocator from the
-// launch hot path; a block's threads are created and destroyed on one OS
-// thread, so the pool needs no synchronization.
+// Frame-pool statistics, kept only so the benchmark harness that reports
+// `gpusim.frame_pool.reuse_ratio` still builds. Kernels no longer allocate
+// a coroutine frame per thread, so there is no pool: nothing is acquired,
+// reuse_rate() is 0 and the metric reads 0, as expected. This header goes
+// when a separate benchmark change drops that metric.
 #pragma once
-
-#include <cstddef>
-#include <cstdint>
 
 namespace starsim::gpusim::detail {
 
-/// Allocate a coroutine frame of `bytes`; reuses a previously freed frame of
-/// the same size class when available.
-void* frame_alloc(std::size_t bytes);
-
-/// Return a frame to the pool.
-void frame_free(void* ptr, std::size_t bytes);
-
-/// Release all pooled frames of the calling thread (test hook; frames are
-/// otherwise retained for reuse until thread exit). Also flushes the
-/// thread's reuse counters into the process-wide aggregate.
-void frame_pool_drain();
-
-/// Number of frames currently parked in the calling thread's pool.
-std::size_t frame_pool_size();
-
-/// Allocation-churn counters: every frame_alloc() is an acquisition that was
-/// either satisfied from the free list (reused) or fell through to malloc
-/// (allocated); acquired == reused + allocated.
 struct FramePoolStats {
-  std::uint64_t acquired = 0;
-  std::uint64_t reused = 0;
-  std::uint64_t allocated = 0;
-
-  /// Fraction of acquisitions served without touching malloc; 0 when idle.
-  [[nodiscard]] double reuse_rate() const {
-    return acquired > 0
-               ? static_cast<double>(reused) / static_cast<double>(acquired)
-               : 0.0;
-  }
+  [[nodiscard]] double reuse_rate() const { return 0.0; }
 };
 
-/// Process-wide aggregate plus the calling thread's not-yet-flushed counts.
-/// Counters are kept thread-local on the hot path and folded into the
-/// global aggregate when a thread drains its pool or exits, so totals over
-/// a worker fleet are exact once the workers have joined.
-[[nodiscard]] FramePoolStats frame_pool_stats();
+[[nodiscard]] inline FramePoolStats frame_pool_stats() { return {}; }
 
-/// Zero the process-wide aggregate and the calling thread's counters
-/// (bench/test hook; other threads' unflushed counts are unaffected).
-void frame_pool_stats_reset();
+inline void frame_pool_stats_reset() {}
 
 }  // namespace starsim::gpusim::detail

@@ -1,6 +1,7 @@
 // The per-thread kernel execution context — gpusim's equivalent of CUDA's
 // implicit thread environment (threadIdx/blockIdx/blockDim/gridDim, global
-// and shared memory access, atomics, textures, __syncthreads).
+// and shared memory access, atomics, textures). A __syncthreads barrier is
+// the boundary between two phases of a kernel (see Step).
 //
 // Every operation with a timing consequence goes through a ThreadCtx method
 // so it is tallied in the block's KernelCounters; the performance model
@@ -18,7 +19,6 @@
 #pragma once
 
 #include <cmath>
-#include <coroutine>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -27,6 +27,14 @@
 #include "gpusim/device_memory.h"
 
 namespace starsim::gpusim {
+
+/// What one phase of a kernel tells the block runner about its thread. A
+/// kernel is any callable `Step kernel(ThreadCtx& ctx, unsigned phase)`:
+/// phase p is the code between the p-th and (p+1)-th __syncthreads of the
+/// CUDA kernel body. kSync arrives at the barrier that ends the phase (the
+/// thread runs phase + 1 once every thread has arrived); kExit returns from
+/// the kernel.
+enum class Step { kSync, kExit };
 
 class ThreadCtx;
 
@@ -151,16 +159,15 @@ class ThreadCtx {
 
   /// atomicAdd on a float in global memory, with exact per-address
   /// conflict accounting (the first op on an element sets its bit in the
-  /// launch's touch bitmap; see LaunchState). A serial block adds in place
-  /// and returns the previous value. A parallel block stages the add for
-  /// the in-order commit (see BlockCommitQueue), so the element ends as in
-  /// a serial launch; the value it returns is the element as committed so
-  /// far, which, like the value CUDA returns under concurrent blocks,
-  /// depends on scheduling.
-  [[gnu::always_inline]] float atomic_add(const DevicePtr<float>& ptr,
-                                          std::size_t i, float value) {
+  /// launch's touch bitmap; see LaunchState). A serial block adds in place;
+  /// a parallel block stages the add for the in-order commit (see
+  /// BlockCommitQueue), so the element ends as in a serial launch. Unlike
+  /// CUDA's atomicAdd it returns nothing: under concurrent blocks the
+  /// previous value depends on scheduling, and no kernel here reads it.
+  [[gnu::always_inline]] void atomic_add(const DevicePtr<float>& ptr,
+                                         std::size_t i, float value) {
     if (sanitizing()) [[unlikely]] {
-      if (!memcheck_global(ptr, i, /*is_write=*/true)) return 0.0f;
+      if (!memcheck_global(ptr, i, /*is_write=*/true)) return;
     }
     STARSIM_REQUIRE(i < ptr.size(), "atomic add out of bounds");
     ++block_->counters.atomic_ops;
@@ -175,18 +182,19 @@ class ThreadCtx {
     float* target = ptr.raw() + i;
     if (block_->parallel_blocks) {
       block_->effects.adds.push_back({target, value});
-      return std::atomic_ref<float>(*target).load(std::memory_order_relaxed);
+    } else {
+      *target += value;
     }
-    const float previous = *target;
-    *target = previous + value;
-    return previous;
   }
 
   // --- Shared memory ----------------------------------------------------------
   /// Attach to (or, for the first thread to get here, create) the block's
   /// next shared-memory array. All threads of a block must make the same
   /// shared_array calls in the same order, as with static __shared__
-  /// declarations in CUDA.
+  /// declarations in CUDA. The order restarts at every phase, so each phase
+  /// re-declares the arrays it uses: a re-declaration attaches to the
+  /// array the earlier phase made, contents intact, and one of another size
+  /// is a sequence mismatch.
   template <typename T>
   [[nodiscard]] SharedArray<T> shared_array(std::size_t count) {
     const std::size_t bytes = count * sizeof(T);
@@ -257,21 +265,10 @@ class ThreadCtx {
                            [taken ? 1 : 0];
   }
 
-  /// Block-wide barrier; usable only as `co_await ctx.syncthreads()`.
-  struct BarrierAwaiter {
-    ThreadCtx* ctx;
-    [[nodiscard]] bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<>) const noexcept {
-      ctx->at_barrier_ = true;
-    }
-    void await_resume() const noexcept {}
-  };
-  [[nodiscard]] BarrierAwaiter syncthreads() { return BarrierAwaiter{this}; }
-
   // --- Runner interface ---------------------------------------------------------
-  [[nodiscard]] bool at_barrier() const { return at_barrier_; }
-  void clear_barrier() { at_barrier_ = false; }
-  [[nodiscard]] BlockState& block_state() { return *block_; }
+  /// Restart the shared_array declaration order (the runner calls this
+  /// before each phase of this thread).
+  void begin_phase() { shared_cursor_ = 0; }
 
   // --- Sanitizer hooks ----------------------------------------------------------
   /// True when any sanitizer tool is active for this launch (the single
@@ -459,7 +456,6 @@ class ThreadCtx {
   std::uint32_t linear_thread_ = 0;
   std::uint32_t warp_id_ = 0;
   std::uint32_t shared_cursor_ = 0;
-  bool at_barrier_ = false;
   std::uint32_t shared_seq_ = 0;
   std::uint32_t global_seq_ = 0;
 };

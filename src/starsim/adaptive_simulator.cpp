@@ -15,9 +15,9 @@ namespace starsim {
 namespace {
 
 using gpusim::DevicePtr;
+using gpusim::Step;
 using gpusim::TextureHandle;
 using gpusim::ThreadCtx;
-using gpusim::ThreadProgram;
 
 struct KernelParams {
   DevicePtr<Star> stars;
@@ -39,19 +39,23 @@ struct KernelParams {
 /// brightness and distribution of star on its ROI will be replaced by
 /// accessing the search table in texture memory. Then, the content of
 /// shared memory ... is also changed by storing star magnitude instead."
-ThreadProgram adaptive_kernel(ThreadCtx& ctx, KernelParams p) {
+/// Phase 0 stages the star in shared memory; phase 1, past the barrier,
+/// reads it back and accumulates the table entry.
+Step adaptive_kernel(ThreadCtx& ctx, unsigned phase, const KernelParams& p) {
   const std::uint64_t block_id = ctx.block_linear();
-  if (block_id >= p.star_count) co_return;
+  if (block_id >= p.star_count) return Step::kExit;
 
   auto shared = ctx.shared_array<float>(4);
-  if (ctx.thread_idx().x == 0 && ctx.thread_idx().y == 0) {
-    const Star star = ctx.load(p.stars, block_id);
-    shared.set(0, star.magnitude);
-    shared.set(1, star.x);
-    shared.set(2, star.y);
-    shared.set(3, star.weight);
+  if (phase == 0) {
+    if (ctx.thread_idx().x == 0 && ctx.thread_idx().y == 0) {
+      const Star star = ctx.load(p.stars, block_id);
+      shared.set(0, star.magnitude);
+      shared.set(1, star.x);
+      shared.set(2, star.y);
+      shared.set(3, star.weight);
+    }
+    return Step::kSync;
   }
-  co_await ctx.syncthreads();
 
   const float magnitude = shared.get(0);
   const float star_x = shared.get(1);
@@ -67,7 +71,7 @@ ThreadProgram adaptive_kernel(ThreadCtx& ctx, KernelParams p) {
   const bool inside = pixel_x >= 0 && pixel_y >= 0 &&
                       pixel_x < p.image_width && pixel_y < p.image_height;
   ctx.branch(0, inside);
-  if (!inside) co_return;
+  if (!inside) return Step::kExit;
 
   // Table indexing: magnitude bin, subpixel phases, then the texture row of
   // this thread's ROI offset.
@@ -100,6 +104,7 @@ ThreadProgram adaptive_kernel(ThreadCtx& ctx, KernelParams p) {
           static_cast<std::size_t>(p.image_width) +
       static_cast<std::size_t>(pixel_x);
   ctx.atomic_add(p.image, index, value * weight);
+  return Step::kExit;
 }
 
 void validate_scene(const gpusim::Device& device, const SceneConfig& scene) {
@@ -228,7 +233,9 @@ SimulationResult render_frame(gpusim::Device& device, const SceneConfig& scene,
       star_centric_config(stars.size(), scene.roi_side);
   const gpusim::LaunchResult launch = device.launch(
       config,
-      [&params](ThreadCtx& ctx) { return adaptive_kernel(ctx, params); });
+      [&params](ThreadCtx& ctx, unsigned phase) {
+        return adaptive_kernel(ctx, phase, params);
+      });
 
   frame.readback(result.image);
 

@@ -10,8 +10,8 @@ namespace starsim {
 namespace {
 
 using gpusim::DevicePtr;
+using gpusim::Step;
 using gpusim::ThreadCtx;
-using gpusim::ThreadProgram;
 
 struct KernelParams {
   DevicePtr<float> table;
@@ -32,8 +32,8 @@ struct KernelParams {
 /// grid.y walks the rows. Unlike the CPU build, nothing is hoisted — each
 /// thread re-derives its bin's brightness — which is exactly the
 /// arithmetic redundancy the GPU's parallelism has to beat.
-ThreadProgram lut_build_kernel(ThreadCtx& ctx, KernelParams p) {
-  if (ctx.block_linear() >= p.rows) co_return;
+Step lut_build_kernel(ThreadCtx& ctx, const KernelParams& p) {
+  if (ctx.block_linear() >= p.rows) return Step::kExit;
   const auto row = static_cast<int>(ctx.block_linear());
   const auto col = static_cast<int>(ctx.thread_idx().x);
 
@@ -62,7 +62,7 @@ ThreadProgram lut_build_kernel(ThreadCtx& ctx, KernelParams p) {
                             static_cast<std::size_t>(col);
   ctx.count_flops(1);
   ctx.store(p.table, index, static_cast<float>(brightness * rate));
-  co_return;
+  return Step::kExit;
 }
 
 }  // namespace
@@ -113,7 +113,9 @@ DeviceLutBuild build_lookup_table_on_device(gpusim::Device& device,
 
   const gpusim::LaunchResult launch = device.launch(
       config,
-      [&params](ThreadCtx& ctx) { return lut_build_kernel(ctx, params); });
+      [&params](ThreadCtx& ctx, unsigned /*phase*/) {
+        return lut_build_kernel(ctx, params);
+      });
   result.kernel_s = launch.timing.kernel_s;
   result.utilization = launch.timing.utilization;
   result.flops = launch.counters.flops;

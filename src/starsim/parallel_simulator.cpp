@@ -15,10 +15,10 @@ namespace starsim {
 namespace {
 
 using gpusim::DevicePtr;
+using gpusim::Step;
 using gpusim::ThreadCtx;
-using gpusim::ThreadProgram;
 
-/// Kernel parameters, captured by value into every thread's frame — the
+/// Kernel parameters, shared read-only by every thread — the
 /// "indicator elements" the paper passes to keep device accesses in range
 /// (image extent, star count) plus the model constants.
 struct KernelParams {
@@ -35,29 +35,31 @@ struct KernelParams {
   BrightnessModel brightness;
 };
 
-/// Fig. 6, line for line.
-ThreadProgram parallel_kernel(ThreadCtx& ctx, KernelParams p) {
+/// Fig. 6, line for line: phase 0 runs steps 1-6, phase 1 steps 7-8.
+Step parallel_kernel(ThreadCtx& ctx, unsigned phase, const KernelParams& p) {
   // Step 3: excess blocks of the 2-D grid bail out.
   const std::uint64_t block_id = ctx.block_linear();
-  if (block_id >= p.star_count) co_return;
+  if (block_id >= p.star_count) return Step::kExit;
 
   // Step 1: shared staging area (brightness, posX, posY).
   auto shared = ctx.shared_array<float>(3);
 
-  // Step 5: the first thread computes the star's brightness once per block.
-  if (ctx.thread_idx().x == 0 && ctx.thread_idx().y == 0) {
-    const Star star = ctx.load(p.stars, block_id);
-    double brightness = p.brightness.brightness(
-        ctx, static_cast<double>(star.magnitude));
-    ctx.count_flops(kernel_cost::kWeightFlops);
-    brightness *= static_cast<double>(star.weight);
-    shared.set(0, static_cast<float>(brightness));
-    shared.set(1, star.x);
-    shared.set(2, star.y);
+  if (phase == 0) {
+    // Step 5: the first thread computes the star's brightness once per
+    // block.
+    if (ctx.thread_idx().x == 0 && ctx.thread_idx().y == 0) {
+      const Star star = ctx.load(p.stars, block_id);
+      double brightness = p.brightness.brightness(
+          ctx, static_cast<double>(star.magnitude));
+      ctx.count_flops(kernel_cost::kWeightFlops);
+      brightness *= static_cast<double>(star.weight);
+      shared.set(0, static_cast<float>(brightness));
+      shared.set(1, star.x);
+      shared.set(2, star.y);
+    }
+    // Step 6: no thread may read the staging area before it is written.
+    return Step::kSync;
   }
-
-  // Step 6: no thread may read the staging area before it is written.
-  co_await ctx.syncthreads();
 
   // Step 7: shared -> registers (read once, reuse), then pixel coordinates.
   const float brightness = shared.get(0);
@@ -74,7 +76,7 @@ ThreadProgram parallel_kernel(ThreadCtx& ctx, KernelParams p) {
   const bool inside = pixel_x >= 0 && pixel_y >= 0 &&
                       pixel_x < p.image_width && pixel_y < p.image_height;
   ctx.branch(0, inside);
-  if (!inside) co_return;
+  if (!inside) return Step::kExit;
 
   const double dx = static_cast<double>(pixel_x) - static_cast<double>(star_x);
   const double dy = static_cast<double>(pixel_y) - static_cast<double>(star_y);
@@ -90,6 +92,7 @@ ThreadProgram parallel_kernel(ThreadCtx& ctx, KernelParams p) {
       static_cast<std::size_t>(pixel_x);
   ctx.atomic_add(p.image, index,
                  static_cast<float>(static_cast<double>(brightness) * rate));
+  return Step::kExit;
 }
 
 /// Tiled variant for ROIs beyond the block limit: one block per
@@ -114,29 +117,31 @@ struct TiledKernelParams {
   BrightnessModel brightness;
 };
 
-ThreadProgram tiled_parallel_kernel(ThreadCtx& ctx, TiledKernelParams p) {
+Step tiled_parallel_kernel(ThreadCtx& ctx, unsigned phase,
+                           const TiledKernelParams& p) {
   const std::uint64_t block_id = ctx.block_linear();
-  if (block_id >= p.block_count) co_return;
+  if (block_id >= p.block_count) return Step::kExit;
   const std::uint64_t tiles =
       static_cast<std::uint64_t>(p.tiles_per_axis) * p.tiles_per_axis;
-  const std::uint64_t star_index = block_id / tiles;
+
+  auto shared = ctx.shared_array<float>(3);
+  if (phase == 0) {
+    if (ctx.thread_idx().x == 0 && ctx.thread_idx().y == 0) {
+      const Star star = ctx.load(p.stars, block_id / tiles);
+      double brightness =
+          p.brightness.brightness(ctx, static_cast<double>(star.magnitude));
+      ctx.count_flops(kernel_cost::kWeightFlops);
+      brightness *= static_cast<double>(star.weight);
+      shared.set(0, static_cast<float>(brightness));
+      shared.set(1, star.x);
+      shared.set(2, star.y);
+    }
+    return Step::kSync;
+  }
+
   const auto tile = static_cast<std::uint32_t>(block_id % tiles);
   const auto tile_x = tile % p.tiles_per_axis;
   const auto tile_y = tile / p.tiles_per_axis;
-
-  auto shared = ctx.shared_array<float>(3);
-  if (ctx.thread_idx().x == 0 && ctx.thread_idx().y == 0) {
-    const Star star = ctx.load(p.stars, star_index);
-    double brightness =
-        p.brightness.brightness(ctx, static_cast<double>(star.magnitude));
-    ctx.count_flops(kernel_cost::kWeightFlops);
-    brightness *= static_cast<double>(star.weight);
-    shared.set(0, static_cast<float>(brightness));
-    shared.set(1, star.x);
-    shared.set(2, star.y);
-  }
-  co_await ctx.syncthreads();
-
   const float brightness = shared.get(0);
   const float star_x = shared.get(1);
   const float star_y = shared.get(2);
@@ -150,7 +155,7 @@ ThreadProgram tiled_parallel_kernel(ThreadCtx& ctx, TiledKernelParams p) {
   // Partial edge tiles: threads beyond the ROI bail (divergent branch).
   const bool in_roi = roi_x < p.roi_side && roi_y < p.roi_side;
   ctx.branch(1, in_roi);
-  if (!in_roi) co_return;
+  if (!in_roi) return Step::kExit;
 
   const int pixel_x =
       static_cast<int>(std::lround(star_x)) - p.margin + roi_x;
@@ -159,7 +164,7 @@ ThreadProgram tiled_parallel_kernel(ThreadCtx& ctx, TiledKernelParams p) {
   const bool inside = pixel_x >= 0 && pixel_y >= 0 &&
                       pixel_x < p.image_width && pixel_y < p.image_height;
   ctx.branch(0, inside);
-  if (!inside) co_return;
+  if (!inside) return Step::kExit;
 
   const double dx = static_cast<double>(pixel_x) - static_cast<double>(star_x);
   const double dy = static_cast<double>(pixel_y) - static_cast<double>(star_y);
@@ -175,6 +180,7 @@ ThreadProgram tiled_parallel_kernel(ThreadCtx& ctx, TiledKernelParams p) {
       static_cast<std::size_t>(pixel_x);
   ctx.atomic_add(p.image, index,
                  static_cast<float>(static_cast<double>(brightness) * rate));
+  return Step::kExit;
 }
 
 }  // namespace
@@ -252,9 +258,10 @@ SimulationResult ParallelSimulator::simulate(const SceneConfig& scene,
 
     gpusim::LaunchConfig config =
         star_centric_config(params.block_count, tile);
-    launch = device_.launch(config, [&params](ThreadCtx& ctx) {
-      return tiled_parallel_kernel(ctx, params);
-    });
+    launch = device_.launch(
+        config, [&params](ThreadCtx& ctx, unsigned phase) {
+          return tiled_parallel_kernel(ctx, phase, params);
+        });
   } else {
     KernelParams params;
     params.stars = frame.stars();
@@ -272,8 +279,9 @@ SimulationResult ParallelSimulator::simulate(const SceneConfig& scene,
     const gpusim::LaunchConfig config =
         star_centric_config(stars.size(), scene.roi_side);
     launch = device_.launch(
-        config,
-        [&params](ThreadCtx& ctx) { return parallel_kernel(ctx, params); });
+        config, [&params](ThreadCtx& ctx, unsigned phase) {
+          return parallel_kernel(ctx, phase, params);
+        });
   }
 
   frame.readback(result.image);

@@ -14,8 +14,8 @@ namespace starsim {
 namespace {
 
 using gpusim::DevicePtr;
+using gpusim::Step;
 using gpusim::ThreadCtx;
-using gpusim::ThreadProgram;
 
 constexpr std::uint32_t kTile = 16;  // 16x16 pixel tiles per block
 
@@ -34,13 +34,16 @@ struct KernelParams {
   BrightnessModel brightness;
 };
 
-ThreadProgram pixel_centric_kernel(ThreadCtx& ctx, KernelParams p) {
+/// One phase: no barrier.
+Step pixel_centric_kernel(ThreadCtx& ctx, const KernelParams& p) {
   const int pixel_x = static_cast<int>(ctx.block_idx().x * kTile +
                                        ctx.thread_idx().x);
   const int pixel_y = static_cast<int>(ctx.block_idx().y * kTile +
                                        ctx.thread_idx().y);
   ctx.count_flops(kernel_cost::kCoordFlops);
-  if (pixel_x >= p.image_width || pixel_y >= p.image_height) co_return;
+  if (pixel_x >= p.image_width || pixel_y >= p.image_height) {
+    return Step::kExit;
+  }
 
   // Accumulate contributions from every star whose ROI covers this pixel.
   // The in-ROI test is the warp-divergent branch the paper's Fig. 3
@@ -82,6 +85,7 @@ ThreadProgram pixel_centric_kernel(ThreadCtx& ctx, KernelParams p) {
           static_cast<std::size_t>(p.image_width) +
       static_cast<std::size_t>(pixel_x);
   ctx.store(p.image, index, static_cast<float>(accumulated));
+  return Step::kExit;
 }
 
 }  // namespace
@@ -132,7 +136,9 @@ SimulationResult PixelCentricSimulator::simulate(const SceneConfig& scene,
 
   const gpusim::LaunchResult launch = device_.launch(
       config,
-      [&params](ThreadCtx& ctx) { return pixel_centric_kernel(ctx, params); });
+      [&params](ThreadCtx& ctx, unsigned /*phase*/) {
+        return pixel_centric_kernel(ctx, params);
+      });
 
   frame.readback(result.image);
 

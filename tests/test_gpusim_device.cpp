@@ -13,10 +13,7 @@ namespace gs = starsim::gpusim;
 using starsim::support::DeviceError;
 using starsim::support::PreconditionError;
 
-gs::ThreadProgram noop_kernel(gs::ThreadCtx& ctx) {
-  (void)ctx;
-  co_return;
-}
+gs::Step noop_kernel(gs::ThreadCtx&, unsigned) { return gs::Step::kExit; }
 
 TEST(Device, TransfersPreserveData) {
   gs::Device dev(gs::DeviceSpec::test_small());
@@ -267,9 +264,9 @@ TEST(DeviceSpecs, K20DeviceRunsKernels) {
   gs::Device dev(gs::DeviceSpec::k20());
   auto cell = dev.malloc<float>(1);
   dev.memset_zero(cell);
-  auto kernel = [&cell](gs::ThreadCtx& ctx) -> gs::ThreadProgram {
+  auto kernel = [&cell](gs::ThreadCtx& ctx, unsigned) {
     ctx.atomic_add(cell, 0, 1.0f);
-    co_return;
+    return gs::Step::kExit;
   };
   const gs::LaunchResult r = dev.launch({gs::Dim3(4), gs::Dim3(64)}, kernel);
   EXPECT_EQ(r.counters.atomic_ops, 256u);

@@ -140,30 +140,36 @@ TEST(EngineGolden, UntiledParallel) {
   expect_golden(g.counters, g.image_hash, kUntiled);
 }
 
-TEST(EngineGolden, TiledParallel) {
-  SerialDevice device;
+Golden render_tiled(gs::Device& device) {
   starsim::ParallelOptions options;
   options.allow_tiling = true;
   options.tile_side = 8;  // ROI 20 -> 3 x 3 tiles, the last ones partial
   starsim::ParallelSimulator sim(device, options);
   const auto r = sim.simulate(scene_of(256, 20), golden_field(256, 60, 12));
-  expect_golden(r.timing.counters, bits_hash(r.image.pixels()),
-                Golden{{.blocks_launched = 768,
-                        .threads_launched = 49152,
-                        .warps_launched = 1536,
-                        .flops = 4429005,
-                        .global_reads = 567,
-                        .global_bytes_read = 104872,
-                        .global_bytes_written = 95800,
-                        .global_transactions = 567,
-                        .shared_reads = 108864,
-                        .shared_writes = 1701,
-                        .atomic_ops = 23950,
-                        .atomic_conflicts = 4489,
-                        .barriers = 1134,
-                        .branch_sites_evaluated = 2079,
-                        .divergent_warp_branches = 353},
-                       0x729f3d0324fe844bull});
+  return {r.timing.counters, bits_hash(r.image.pixels())};
+}
+
+const Golden kTiled{{.blocks_launched = 768,
+                     .threads_launched = 49152,
+                     .warps_launched = 1536,
+                     .flops = 4429005,
+                     .global_reads = 567,
+                     .global_bytes_read = 104872,
+                     .global_bytes_written = 95800,
+                     .global_transactions = 567,
+                     .shared_reads = 108864,
+                     .shared_writes = 1701,
+                     .atomic_ops = 23950,
+                     .atomic_conflicts = 4489,
+                     .barriers = 1134,
+                     .branch_sites_evaluated = 2079,
+                     .divergent_warp_branches = 353},
+                    0x729f3d0324fe844bull};
+
+TEST(EngineGolden, TiledParallel) {
+  SerialDevice device;
+  const Golden g = render_tiled(device);
+  expect_golden(g.counters, g.image_hash, kTiled);
 }
 
 Golden render_adaptive(gs::Device& device) {
@@ -220,43 +226,52 @@ TEST(EngineGolden, DeviceLutBuild) {
                        0xc4337cf04d7d890aull});
 }
 
-TEST(EngineGolden, PixelCentric) {
-  SerialDevice device;
+Golden render_pixel_centric(gs::Device& device) {
   starsim::PixelCentricSimulator sim(device);
   const auto r = sim.simulate(scene_of(48, 10), golden_field(48, 24, 14));
-  expect_golden(r.timing.counters, bits_hash(r.image.pixels()),
-                Golden{{.blocks_launched = 9,
-                        .threads_launched = 2304,
-                        .warps_launched = 72,
-                        .flops = 1163288,
-                        .global_reads = 62208,
-                        .global_writes = 2304,
-                        .global_bytes_read = 995328,
-                        .global_bytes_written = 9216,
-                        .global_transactions = 2088,
-                        .branch_sites_evaluated = 72,
-                        .divergent_warp_branches = 67},
-                       0xe740699b94cd8195ull});
+  return {r.timing.counters, bits_hash(r.image.pixels())};
 }
 
-// A kernel that throws with coroutines suspended at a barrier, shared
-// arrays allocated and warp accesses half-recorded must leave nothing behind
-// for the next launch on the same OS thread.
+const Golden kPixelCentric{{.blocks_launched = 9,
+                            .threads_launched = 2304,
+                            .warps_launched = 72,
+                            .flops = 1163288,
+                            .global_reads = 62208,
+                            .global_writes = 2304,
+                            .global_bytes_read = 995328,
+                            .global_bytes_written = 9216,
+                            .global_transactions = 2088,
+                            .branch_sites_evaluated = 72,
+                            .divergent_warp_branches = 67},
+                           0xe740699b94cd8195ull};
+
+TEST(EngineGolden, PixelCentric) {
+  SerialDevice device;
+  const Golden g = render_pixel_centric(device);
+  expect_golden(g.counters, g.image_hash, kPixelCentric);
+}
+
+// A kernel that throws in its second phase, with the block past a barrier,
+// shared arrays allocated and warp accesses half-recorded, must leave
+// nothing behind for the next launch on the same OS thread.
 TEST(EngineGolden, ThrowingLaunchLeavesNextLaunchGolden) {
   SerialDevice device;
   auto buffer = device.malloc<float>(4096);
   device.memset_zero(buffer);
-  auto failing = [&buffer](gs::ThreadCtx& ctx) -> gs::ThreadProgram {
+  auto failing = [&buffer](gs::ThreadCtx& ctx, unsigned phase) {
     auto shared = ctx.shared_array<float>(200);
-    shared.set(ctx.thread_linear(), 7.0f);
-    (void)ctx.load(buffer, ctx.thread_linear() * 3ull);
-    ctx.atomic_add(buffer, ctx.thread_linear() % 5, 1.0f);
-    ctx.branch(2, ctx.thread_linear() % 3 == 0);
-    co_await ctx.syncthreads();
+    if (phase == 0) {
+      shared.set(ctx.thread_linear(), 7.0f);
+      (void)ctx.load(buffer, ctx.thread_linear() * 3ull);
+      ctx.atomic_add(buffer, ctx.thread_linear() % 5, 1.0f);
+      ctx.branch(2, ctx.thread_linear() % 3 == 0);
+      return gs::Step::kSync;
+    }
     if (ctx.block_linear() == 1 && ctx.thread_linear() == 40) {
       throw starsim::support::DeviceError("kernel fault");
     }
     (void)shared.get(ctx.thread_linear() + 1);
+    return gs::Step::kExit;
   };
   EXPECT_THROW((void)device.launch({gs::Dim3(3), gs::Dim3(10, 10)}, failing),
                starsim::support::DeviceError);
@@ -270,7 +285,8 @@ TEST(EngineGolden, ThrowingLaunchLeavesNextLaunchGolden) {
 // (many stars share pixels) and the SM texture-cache lookups land in block
 // order: the frames, every counter and so the modeled time equal the serial
 // golden values at every thread count. 512 untiled blocks also wrap the
-// commit ring.
+// commit ring; the tiled kernel's threads exit after the barrier at its
+// partial tiles' edges, and the pixel-centric kernel has no barrier.
 TEST(EngineGolden, ParallelBlocksMatchSerialAtEveryThreadCount) {
 #ifdef _OPENMP
   const int saved_threads = omp_get_max_threads();
@@ -290,6 +306,11 @@ TEST(EngineGolden, ParallelBlocksMatchSerialAtEveryThreadCount) {
       expect_golden(untiled.counters, untiled.image_hash, kUntiled);
       const Golden adaptive = render_adaptive(device);
       expect_golden(adaptive.counters, adaptive.image_hash, kAdaptive);
+      const Golden tiled = render_tiled(device);
+      expect_golden(tiled.counters, tiled.image_hash, kTiled);
+      const Golden pixel_centric = render_pixel_centric(device);
+      expect_golden(pixel_centric.counters, pixel_centric.image_hash,
+                    kPixelCentric);
     }
   }
 #ifdef _OPENMP

@@ -5,11 +5,11 @@
 
 #include <atomic>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "gpusim/device.h"
-#include "gpusim/frame_pool.h"
 #include "support/error.h"
 
 namespace {
@@ -18,7 +18,7 @@ namespace gs = starsim::gpusim;
 using starsim::support::DeviceError;
 using starsim::support::PreconditionError;
 
-gs::ThreadProgram noop_kernel(gs::ThreadCtx&) { co_return; }
+gs::Step noop_kernel(gs::ThreadCtx&, unsigned) { return gs::Step::kExit; }
 
 // Device is non-copyable; tests construct in place and serialize block
 // execution for deterministic counters.
@@ -33,12 +33,12 @@ TEST(Exec, EveryThreadRunsExactlyOnce) {
   auto out = dev.malloc<float>(2 * 3 * 4 * 2);  // grid(2,3) x block(4,2)
   dev.memset_zero(out);
 
-  auto kernel = [&out](gs::ThreadCtx& ctx) -> gs::ThreadProgram {
+  auto kernel = [&out](gs::ThreadCtx& ctx, unsigned) {
     const std::uint64_t global =
         ctx.block_linear() * ctx.block_dim().count() +
         ctx.block_dim().linear(ctx.thread_idx());
     ctx.atomic_add(out, global, 1.0f);
-    co_return;
+    return gs::Step::kExit;
   };
   gs::LaunchConfig config{gs::Dim3(2, 3), gs::Dim3(4, 2)};
   const gs::LaunchResult r = dev.launch(config, kernel);
@@ -55,14 +55,14 @@ TEST(Exec, ThreadAndBlockIndicesAreCorrect) {
   SerialDevice dev;
   // Encode identity into a value and verify it lands at the right slot.
   auto out = dev.malloc<float>(4 * 6);
-  auto kernel = [&out](gs::ThreadCtx& ctx) -> gs::ThreadProgram {
+  auto kernel = [&out](gs::ThreadCtx& ctx, unsigned) {
     const auto bx = ctx.block_idx().x;
     const auto tx = ctx.thread_idx().x;
     const auto ty = ctx.thread_idx().y;
     const std::uint64_t slot = ctx.block_linear() * 6 + ty * 3 + tx;
     ctx.store(out, slot,
               static_cast<float>(bx * 100 + ty * 10 + tx));
-    co_return;
+    return gs::Step::kExit;
   };
   gs::LaunchConfig config{gs::Dim3(4), gs::Dim3(3, 2)};
   (void)dev.launch(config, kernel);
@@ -82,14 +82,14 @@ TEST(Exec, ThreadAndBlockIndicesAreCorrect) {
 TEST(Exec, GridAndBlockDimsVisibleInKernel) {
   SerialDevice dev;
   auto out = dev.malloc<float>(4);
-  auto kernel = [&out](gs::ThreadCtx& ctx) -> gs::ThreadProgram {
+  auto kernel = [&out](gs::ThreadCtx& ctx, unsigned) {
     if (ctx.block_linear() == 0 && ctx.thread_linear() == 0) {
       ctx.store(out, 0, static_cast<float>(ctx.grid_dim().x));
       ctx.store(out, 1, static_cast<float>(ctx.grid_dim().y));
       ctx.store(out, 2, static_cast<float>(ctx.block_dim().x));
       ctx.store(out, 3, static_cast<float>(ctx.block_dim().y));
     }
-    co_return;
+    return gs::Step::kExit;
   };
   (void)dev.launch({gs::Dim3(5, 2), gs::Dim3(4, 3)}, kernel);
   std::vector<float> host(4);
@@ -107,15 +107,17 @@ TEST(Exec, BarrierOrdersSharedMemoryWrites) {
   // Thread 0 writes shared memory; all threads read it after the barrier —
   // the exact Fig. 6 pattern. Without the barrier threads running before
   // thread 0 would read zero.
-  auto kernel = [&out](gs::ThreadCtx& ctx) -> gs::ThreadProgram {
+  auto kernel = [&out](gs::ThreadCtx& ctx, unsigned phase) {
     auto shared = ctx.shared_array<float>(1);
-    // Run threads in reverse-dependency order: the LAST thread writes.
-    if (ctx.thread_linear() == ctx.block_dim().count() - 1) {
-      shared.set(0, 42.0f);
+    if (phase == 0) {
+      // Run threads in reverse-dependency order: the LAST thread writes.
+      if (ctx.thread_linear() == ctx.block_dim().count() - 1) {
+        shared.set(0, 42.0f);
+      }
+      return gs::Step::kSync;
     }
-    co_await ctx.syncthreads();
     ctx.store(out, ctx.thread_linear(), shared.get(0));
-    co_return;
+    return gs::Step::kExit;
   };
   (void)dev.launch({gs::Dim3(1), gs::Dim3(64)}, kernel);
   std::vector<float> host(64);
@@ -127,16 +129,25 @@ TEST(Exec, BarrierOrdersSharedMemoryWrites) {
 TEST(Exec, MultipleBarriersAlternatePhases) {
   SerialDevice dev;
   auto out = dev.malloc<float>(32);
-  auto kernel = [&out](gs::ThreadCtx& ctx) -> gs::ThreadProgram {
+  // A value read in one phase and used in a later one crosses the barrier
+  // through shared memory, as in CUDA.
+  auto kernel = [&out](gs::ThreadCtx& ctx, unsigned phase) {
     auto shared = ctx.shared_array<float>(1);
-    if (ctx.thread_linear() == 0) shared.set(0, 1.0f);
-    co_await ctx.syncthreads();
-    const float first = shared.get(0);
-    co_await ctx.syncthreads();
-    if (ctx.thread_linear() == 31) shared.set(0, first + 1.0f);
-    co_await ctx.syncthreads();
-    ctx.store(out, ctx.thread_linear(), shared.get(0));
-    co_return;
+    auto first = ctx.shared_array<float>(32);
+    switch (phase) {
+      case 0:
+        if (ctx.thread_linear() == 0) shared.set(0, 1.0f);
+        return gs::Step::kSync;
+      case 1:
+        first.set(ctx.thread_linear(), shared.get(0));
+        return gs::Step::kSync;
+      case 2:
+        if (ctx.thread_linear() == 31) shared.set(0, first.get(31) + 1.0f);
+        return gs::Step::kSync;
+      default:
+        ctx.store(out, ctx.thread_linear(), shared.get(0));
+        return gs::Step::kExit;
+    }
   };
   const gs::LaunchResult r = dev.launch({gs::Dim3(1), gs::Dim3(32)}, kernel);
   std::vector<float> host(32);
@@ -148,11 +159,11 @@ TEST(Exec, MultipleBarriersAlternatePhases) {
 
 TEST(Exec, BarrierDivergenceIsAnError) {
   SerialDevice dev;
-  auto kernel = [](gs::ThreadCtx& ctx) -> gs::ThreadProgram {
-    if (ctx.thread_linear() % 2 == 0) {
-      co_await ctx.syncthreads();  // odd threads never arrive
+  auto kernel = [](gs::ThreadCtx& ctx, unsigned phase) {
+    if (phase == 0 && ctx.thread_linear() % 2 == 0) {
+      return gs::Step::kSync;  // odd threads never arrive
     }
-    co_return;
+    return gs::Step::kExit;
   };
   EXPECT_THROW((void)dev.launch({gs::Dim3(1), gs::Dim3(8)}, kernel),
                DeviceError);
@@ -160,11 +171,11 @@ TEST(Exec, BarrierDivergenceIsAnError) {
 
 TEST(Exec, KernelExceptionPropagates) {
   SerialDevice dev;
-  auto kernel = [](gs::ThreadCtx& ctx) -> gs::ThreadProgram {
+  auto kernel = [](gs::ThreadCtx& ctx, unsigned) {
     if (ctx.thread_linear() == 3) {
       throw std::runtime_error("bad thread");
     }
-    co_return;
+    return gs::Step::kExit;
   };
   EXPECT_THROW((void)dev.launch({gs::Dim3(1), gs::Dim3(8)}, kernel),
                std::runtime_error);
@@ -173,9 +184,9 @@ TEST(Exec, KernelExceptionPropagates) {
 TEST(Exec, GlobalLoadStoreBoundsChecked) {
   SerialDevice dev;
   auto buffer = dev.malloc<float>(4);
-  auto kernel = [&buffer](gs::ThreadCtx& ctx) -> gs::ThreadProgram {
+  auto kernel = [&buffer](gs::ThreadCtx& ctx, unsigned) {
     ctx.store(buffer, 100, 1.0f);  // out of bounds
-    co_return;
+    return gs::Step::kExit;
   };
   EXPECT_THROW((void)dev.launch({gs::Dim3(1), gs::Dim3(1)}, kernel),
                PreconditionError);
@@ -187,16 +198,18 @@ TEST(Exec, SharedMemoryIsPerBlock) {
   auto out = dev.malloc<float>(8);
   // Each block writes its own id into shared memory; cross-block leakage
   // would mix ids.
-  auto kernel = [&out](gs::ThreadCtx& ctx) -> gs::ThreadProgram {
+  auto kernel = [&out](gs::ThreadCtx& ctx, unsigned phase) {
     auto shared = ctx.shared_array<float>(1);
-    if (ctx.thread_linear() == 0) {
-      shared.set(0, static_cast<float>(ctx.block_linear()));
+    if (phase == 0) {
+      if (ctx.thread_linear() == 0) {
+        shared.set(0, static_cast<float>(ctx.block_linear()));
+      }
+      return gs::Step::kSync;
     }
-    co_await ctx.syncthreads();
     if (ctx.thread_linear() == 1) {
       ctx.store(out, ctx.block_linear(), shared.get(0));
     }
-    co_return;
+    return gs::Step::kExit;
   };
   (void)dev.launch({gs::Dim3(8), gs::Dim3(2)}, kernel);
   std::vector<float> host(8);
@@ -208,10 +221,10 @@ TEST(Exec, SharedMemoryIsPerBlock) {
 TEST(Exec, SharedMemoryZeroInitialized) {
   SerialDevice dev;
   auto out = dev.malloc<float>(1);
-  auto kernel = [&out](gs::ThreadCtx& ctx) -> gs::ThreadProgram {
+  auto kernel = [&out](gs::ThreadCtx& ctx, unsigned) {
     auto shared = ctx.shared_array<float>(4);
     ctx.store(out, 0, shared.get(3));
-    co_return;
+    return gs::Step::kExit;
   };
   (void)dev.launch({gs::Dim3(1), gs::Dim3(1)}, kernel);
   std::vector<float> host(1, -1.0f);
@@ -226,7 +239,7 @@ TEST(Exec, SharedMemoryZeroedForEveryBlock) {
   SerialDevice dev;  // 1 KiB shared per block: up to 256 floats
   auto dirty = dev.malloc<float>(1);
   dev.memset_zero(dirty);
-  auto kernel = [&dirty](gs::ThreadCtx& ctx) -> gs::ThreadProgram {
+  auto kernel = [&dirty](gs::ThreadCtx& ctx, unsigned) {
     const std::size_t count = 32 + 32 * ctx.block_linear();
     auto first = ctx.shared_array<float>(count / 2);
     auto second = ctx.shared_array<float>(count - count / 2);
@@ -238,7 +251,7 @@ TEST(Exec, SharedMemoryZeroedForEveryBlock) {
       if (second.get(i) != 0.0f) ctx.atomic_add(dirty, 0, 1.0f);
       second.set(i, -3.0f);
     }
-    co_return;
+    return gs::Step::kExit;
   };
   (void)dev.launch({gs::Dim3(7), gs::Dim3(4)}, kernel);
   (void)dev.launch({gs::Dim3(7), gs::Dim3(4)}, kernel);
@@ -250,9 +263,9 @@ TEST(Exec, SharedMemoryZeroedForEveryBlock) {
 
 TEST(Exec, SharedMemoryBudgetEnforced) {
   SerialDevice dev;  // 1 KiB shared per block
-  auto kernel = [](gs::ThreadCtx& ctx) -> gs::ThreadProgram {
+  auto kernel = [](gs::ThreadCtx& ctx, unsigned) {
     (void)ctx.shared_array<float>(512);  // 2 KiB
-    co_return;
+    return gs::Step::kExit;
   };
   EXPECT_THROW((void)dev.launch({gs::Dim3(1), gs::Dim3(1)}, kernel),
                PreconditionError);
@@ -260,25 +273,78 @@ TEST(Exec, SharedMemoryBudgetEnforced) {
 
 TEST(Exec, SharedSequenceMismatchDetected) {
   SerialDevice dev;
-  auto kernel = [](gs::ThreadCtx& ctx) -> gs::ThreadProgram {
+  auto kernel = [](gs::ThreadCtx& ctx, unsigned) {
     if (ctx.thread_linear() == 0) {
       (void)ctx.shared_array<float>(4);
     } else {
       (void)ctx.shared_array<float>(8);  // different size, same slot
     }
-    co_return;
+    return gs::Step::kExit;
   };
   EXPECT_THROW((void)dev.launch({gs::Dim3(1), gs::Dim3(2)}, kernel),
                PreconditionError);
+}
+
+// Each phase re-declares the block's shared arrays in the same order, as
+// static __shared__ declarations are in scope across a CUDA barrier; the
+// re-declaration attaches to the array the earlier phase wrote, unzeroed.
+TEST(Exec, SharedArrayRedeclaredInLaterPhaseKeepsContents) {
+  SerialDevice dev;
+  auto out = dev.malloc<float>(2 * 8);
+  auto kernel = [&out](gs::ThreadCtx& ctx, unsigned phase) {
+    auto first = ctx.shared_array<float>(8);
+    auto second = ctx.shared_array<float>(8);
+    const std::uint32_t t = ctx.thread_linear();
+    if (phase == 0) {
+      first.set(t, static_cast<float>(10 * ctx.block_linear() + t));
+      second.set(7 - t, static_cast<float>(t));
+      return gs::Step::kSync;
+    }
+    ctx.store(out, ctx.block_linear() * 8 + t,
+              first.get(7 - t) + 100.0f * second.get(t));
+    return gs::Step::kExit;
+  };
+  (void)dev.launch({gs::Dim3(2), gs::Dim3(8)}, kernel);
+  std::vector<float> host(out.size());
+  dev.memcpy_d2h(std::span<float>(host), out);
+  for (unsigned b = 0; b < 2; ++b) {
+    for (unsigned t = 0; t < 8; ++t) {
+      ASSERT_EQ(host[b * 8 + t],
+                static_cast<float>(10 * b + (7 - t)) +
+                    100.0f * static_cast<float>(7 - t))
+          << "block " << b << " thread " << t;
+    }
+  }
+  dev.free(out);
+}
+
+TEST(Exec, SharedArrayRedeclaredWithAnotherSizeThrows) {
+  SerialDevice dev;
+  auto kernel = [](gs::ThreadCtx& ctx, unsigned phase) {
+    auto shared = ctx.shared_array<float>(phase == 0 ? 4 : 8);
+    if (phase == 0) {
+      shared.set(ctx.thread_linear(), 1.0f);
+      return gs::Step::kSync;
+    }
+    return gs::Step::kExit;
+  };
+  try {
+    (void)dev.launch({gs::Dim3(1), gs::Dim3(4)}, kernel);
+    FAIL() << "a resized re-declaration must throw";
+  } catch (const PreconditionError& error) {
+    EXPECT_NE(std::string(error.what()).find("sequence mismatch"),
+              std::string::npos)
+        << error.what();
+  }
 }
 
 TEST(Exec, AtomicAddAccumulatesAcrossBlocks) {
   SerialDevice dev;
   auto cell = dev.malloc<float>(1);
   dev.memset_zero(cell);
-  auto kernel = [&cell](gs::ThreadCtx& ctx) -> gs::ThreadProgram {
+  auto kernel = [&cell](gs::ThreadCtx& ctx, unsigned) {
     ctx.atomic_add(cell, 0, 1.0f);
-    co_return;
+    return gs::Step::kExit;
   };
   const gs::LaunchResult r = dev.launch({gs::Dim3(16), gs::Dim3(32)}, kernel);
   std::vector<float> host(1);
@@ -294,9 +360,9 @@ TEST(Exec, AtomicConflictsZeroWhenAddressesDisjoint) {
   SerialDevice dev;
   auto cells = dev.malloc<float>(64);
   dev.memset_zero(cells);
-  auto kernel = [&cells](gs::ThreadCtx& ctx) -> gs::ThreadProgram {
+  auto kernel = [&cells](gs::ThreadCtx& ctx, unsigned) {
     ctx.atomic_add(cells, ctx.thread_linear(), 2.0f);
-    co_return;
+    return gs::Step::kExit;
   };
   const gs::LaunchResult r = dev.launch({gs::Dim3(1), gs::Dim3(64)}, kernel);
   EXPECT_EQ(r.counters.atomic_ops, 64u);
@@ -309,32 +375,13 @@ TEST(Exec, AtomicConflictCountIsExact) {
   auto cells = dev.malloc<float>(4);
   dev.memset_zero(cells);
   // Threads 0..31 hit cell (t % 2): 16 ops per cell -> 15 conflicts each.
-  auto kernel = [&cells](gs::ThreadCtx& ctx) -> gs::ThreadProgram {
+  auto kernel = [&cells](gs::ThreadCtx& ctx, unsigned) {
     ctx.atomic_add(cells, ctx.thread_linear() % 2, 1.0f);
-    co_return;
+    return gs::Step::kExit;
   };
   const gs::LaunchResult r = dev.launch({gs::Dim3(1), gs::Dim3(32)}, kernel);
   EXPECT_EQ(r.counters.atomic_conflicts, 30u);
   dev.free(cells);
-}
-
-TEST(Exec, AtomicReturnsPreviousValue) {
-  SerialDevice dev;
-  auto cell = dev.malloc<float>(1);
-  auto out = dev.malloc<float>(1);
-  dev.memset_zero(cell);
-  auto kernel = [&cell, &out](gs::ThreadCtx& ctx) -> gs::ThreadProgram {
-    const float before = ctx.atomic_add(cell, 0, 5.0f);
-    const float after = ctx.atomic_add(cell, 0, 5.0f);
-    ctx.store(out, 0, after - before);
-    co_return;
-  };
-  (void)dev.launch({gs::Dim3(1), gs::Dim3(1)}, kernel);
-  std::vector<float> host(1);
-  dev.memcpy_d2h(std::span<float>(host), out);
-  EXPECT_EQ(host[0], 5.0f);
-  dev.free(cell);
-  dev.free(out);
 }
 
 TEST(Exec, WarpCountsRoundUp) {
@@ -347,9 +394,9 @@ TEST(Exec, WarpCountsRoundUp) {
 
 TEST(Exec, UniformBranchIsNotDivergent) {
   SerialDevice dev;
-  auto kernel = [](gs::ThreadCtx& ctx) -> gs::ThreadProgram {
+  auto kernel = [](gs::ThreadCtx& ctx, unsigned) {
     ctx.branch(0, true);
-    co_return;
+    return gs::Step::kExit;
   };
   const gs::LaunchResult r = dev.launch({gs::Dim3(2), gs::Dim3(32)}, kernel);
   EXPECT_EQ(r.counters.branch_sites_evaluated, 2u);
@@ -358,9 +405,9 @@ TEST(Exec, UniformBranchIsNotDivergent) {
 
 TEST(Exec, MixedBranchWithinWarpIsDivergent) {
   SerialDevice dev;
-  auto kernel = [](gs::ThreadCtx& ctx) -> gs::ThreadProgram {
+  auto kernel = [](gs::ThreadCtx& ctx, unsigned) {
     ctx.branch(0, ctx.thread_linear() % 2 == 0);
-    co_return;
+    return gs::Step::kExit;
   };
   const gs::LaunchResult r = dev.launch({gs::Dim3(1), gs::Dim3(32)}, kernel);
   EXPECT_EQ(r.counters.branch_sites_evaluated, 1u);
@@ -371,9 +418,9 @@ TEST(Exec, MixedBranchWithinWarpIsDivergent) {
 TEST(Exec, WarpUniformButGridMixedIsNotDivergent) {
   SerialDevice dev;
   // Warp 0 all-true, warp 1 all-false: no divergence inside either warp.
-  auto kernel = [](gs::ThreadCtx& ctx) -> gs::ThreadProgram {
+  auto kernel = [](gs::ThreadCtx& ctx, unsigned) {
     ctx.branch(0, ctx.warp_id() == 0);
-    co_return;
+    return gs::Step::kExit;
   };
   const gs::LaunchResult r = dev.launch({gs::Dim3(1), gs::Dim3(64)}, kernel);
   EXPECT_EQ(r.counters.branch_sites_evaluated, 2u);
@@ -382,9 +429,9 @@ TEST(Exec, WarpUniformButGridMixedIsNotDivergent) {
 
 TEST(Exec, BranchSiteOutOfRangeThrows) {
   SerialDevice dev;
-  auto kernel = [](gs::ThreadCtx& ctx) -> gs::ThreadProgram {
+  auto kernel = [](gs::ThreadCtx& ctx, unsigned) {
     ctx.branch(99, true);
-    co_return;
+    return gs::Step::kExit;
   };
   EXPECT_THROW((void)dev.launch({gs::Dim3(1), gs::Dim3(1)}, kernel),
                PreconditionError);
@@ -394,11 +441,11 @@ TEST(Exec, MeteredTranscendentalsCountFlops) {
   SerialDevice dev;
   const gs::DeviceSpec& spec = dev.spec();
   auto out = dev.malloc<float>(1);
-  auto kernel = [&out](gs::ThreadCtx& ctx) -> gs::ThreadProgram {
+  auto kernel = [&out](gs::ThreadCtx& ctx, unsigned) {
     const double v = ctx.exp(0.0) + ctx.pow(2.0, 3.0) + ctx.sqrt(16.0);
     ctx.count_flops(2);
     ctx.store(out, 0, static_cast<float>(v));
-    co_return;
+    return gs::Step::kExit;
   };
   const gs::LaunchResult r = dev.launch({gs::Dim3(1), gs::Dim3(1)}, kernel);
   const auto expected = static_cast<std::uint64_t>(
@@ -414,10 +461,10 @@ TEST(Exec, CountersSumMemoryTraffic) {
   SerialDevice dev;
   auto buf = dev.malloc<float>(32);
   dev.memset_zero(buf);
-  auto kernel = [&buf](gs::ThreadCtx& ctx) -> gs::ThreadProgram {
+  auto kernel = [&buf](gs::ThreadCtx& ctx, unsigned) {
     const float v = ctx.load(buf, ctx.thread_linear());
     ctx.store(buf, ctx.thread_linear(), v + 1.0f);
-    co_return;
+    return gs::Step::kExit;
   };
   const gs::LaunchResult r = dev.launch({gs::Dim3(1), gs::Dim3(32)}, kernel);
   EXPECT_EQ(r.counters.global_reads, 32u);
@@ -425,40 +472,6 @@ TEST(Exec, CountersSumMemoryTraffic) {
   EXPECT_EQ(r.counters.global_bytes_read, 128u);
   EXPECT_EQ(r.counters.global_bytes_written, 128u);
   dev.free(buf);
-}
-
-TEST(Exec, FramePoolRecyclesFrames) {
-  starsim::gpusim::detail::frame_pool_drain();
-  SerialDevice dev;
-  (void)dev.launch({gs::Dim3(4), gs::Dim3(8)}, noop_kernel);
-  const std::size_t after_first = starsim::gpusim::detail::frame_pool_size();
-  EXPECT_GT(after_first, 0u);  // frames parked for reuse
-  (void)dev.launch({gs::Dim3(4), gs::Dim3(8)}, noop_kernel);
-  // Second identical launch must not grow the pool (full recycling).
-  EXPECT_EQ(starsim::gpusim::detail::frame_pool_size(), after_first);
-}
-
-TEST(Exec, FramePoolStatsCountReuse) {
-  namespace detail = starsim::gpusim::detail;
-  detail::frame_pool_drain();
-  detail::frame_pool_stats_reset();
-  SerialDevice dev;
-  (void)dev.launch({gs::Dim3(4), gs::Dim3(8)}, noop_kernel);
-  const auto cold = detail::frame_pool_stats();
-  EXPECT_GT(cold.acquired, 0u);
-  EXPECT_EQ(cold.acquired, cold.reused + cold.allocated);
-  EXPECT_GT(cold.allocated, 0u);  // first launch cannot reuse anything
-
-  (void)dev.launch({gs::Dim3(4), gs::Dim3(8)}, noop_kernel);
-  const auto warm = detail::frame_pool_stats();
-  EXPECT_EQ(warm.acquired, 2 * cold.acquired);
-  // The second identical launch is served entirely from the free list.
-  EXPECT_EQ(warm.allocated, cold.allocated);
-  EXPECT_EQ(warm.reused, cold.reused + cold.acquired);
-  EXPECT_GT(warm.reuse_rate(), 0.0);
-
-  detail::frame_pool_stats_reset();
-  EXPECT_EQ(detail::frame_pool_stats().acquired, 0u);
 }
 
 TEST(Exec, ParallelAndSerialProduceSameImage) {
@@ -471,9 +484,9 @@ TEST(Exec, ParallelAndSerialProduceSameImage) {
   auto run = [](gs::Device& dev) {
     auto buf = dev.malloc<float>(64);
     dev.memset_zero(buf);
-    auto kernel = [&buf](gs::ThreadCtx& ctx) -> gs::ThreadProgram {
+    auto kernel = [&buf](gs::ThreadCtx& ctx, unsigned) {
       ctx.atomic_add(buf, ctx.thread_linear() % 64, 1.0f);
-      co_return;
+      return gs::Step::kExit;
     };
     (void)dev.launch({gs::Dim3(16), gs::Dim3(32)}, kernel);
     std::vector<float> host(64);
@@ -520,11 +533,11 @@ TEST(Exec, CommitQueueAppliesBlocksInIndexOrder) {
 TEST(Exec, KernelExceptionPropagatesFromParallelBlocks) {
   gs::Device dev(gs::DeviceSpec::test_small());
   dev.set_parallel_blocks(true);
-  auto kernel = [](gs::ThreadCtx& ctx) -> gs::ThreadProgram {
+  auto kernel = [](gs::ThreadCtx& ctx, unsigned) {
     if (ctx.block_linear() == 13 && ctx.thread_linear() == 2) {
       throw std::runtime_error("bad block");
     }
-    co_return;
+    return gs::Step::kExit;
   };
   EXPECT_THROW((void)dev.launch({gs::Dim3(32), gs::Dim3(8)}, kernel),
                std::runtime_error);
@@ -533,11 +546,11 @@ TEST(Exec, KernelExceptionPropagatesFromParallelBlocks) {
 TEST(Exec, ThreeDimensionalBlocksSupported) {
   SerialDevice dev;
   auto out = dev.malloc<float>(2 * 4 * 2);
-  auto kernel = [&out](gs::ThreadCtx& ctx) -> gs::ThreadProgram {
+  auto kernel = [&out](gs::ThreadCtx& ctx, unsigned) {
     const auto& t = ctx.thread_idx();
     ctx.store(out, ctx.thread_linear(),
               static_cast<float>(t.z * 100 + t.y * 10 + t.x));
-    co_return;
+    return gs::Step::kExit;
   };
   (void)dev.launch({gs::Dim3(1), gs::Dim3(2, 4, 2)}, kernel);
   std::vector<float> host(16);
@@ -561,9 +574,9 @@ TEST(Exec, MultipleTexturesUsableInOneKernel) {
   const auto ta = dev.bind_texture_2d(a, 4, 4, gs::AddressMode::kClamp);
   const auto tb = dev.bind_texture_2d(b, 4, 4, gs::AddressMode::kClamp);
   auto out = dev.malloc<float>(1);
-  auto kernel = [&](gs::ThreadCtx& ctx) -> gs::ThreadProgram {
+  auto kernel = [&](gs::ThreadCtx& ctx, unsigned) {
     ctx.store(out, 0, ctx.tex2d(ta, 1, 1) + ctx.tex2d(tb, 2, 2));
-    co_return;
+    return gs::Step::kExit;
   };
   (void)dev.launch({gs::Dim3(1), gs::Dim3(1)}, kernel);
   std::vector<float> host(1);
@@ -578,13 +591,12 @@ TEST(Exec, MultipleTexturesUsableInOneKernel) {
 
 TEST(Exec, BarrierInsideLoopCountsEveryEpoch) {
   SerialDevice dev;
-  auto kernel = [](gs::ThreadCtx& ctx) -> gs::ThreadProgram {
+  // The loop counter is the phase index: one barrier per round.
+  auto kernel = [](gs::ThreadCtx& ctx, unsigned round) {
     auto shared = ctx.shared_array<float>(1);
-    for (int round = 0; round < 5; ++round) {
-      if (ctx.thread_linear() == 0) shared.set(0, static_cast<float>(round));
-      co_await ctx.syncthreads();
-    }
-    co_return;
+    if (round == 5) return gs::Step::kExit;
+    if (ctx.thread_linear() == 0) shared.set(0, static_cast<float>(round));
+    return gs::Step::kSync;
   };
   const gs::LaunchResult r = dev.launch({gs::Dim3(1), gs::Dim3(64)}, kernel);
   EXPECT_EQ(r.counters.barriers, 5u * 2u);  // 5 epochs x 2 warps
@@ -594,9 +606,9 @@ TEST(Exec, GridZDimensionWorks) {
   SerialDevice dev;
   auto out = dev.malloc<float>(8);
   dev.memset_zero(out);
-  auto kernel = [&out](gs::ThreadCtx& ctx) -> gs::ThreadProgram {
+  auto kernel = [&out](gs::ThreadCtx& ctx, unsigned) {
     ctx.atomic_add(out, ctx.block_linear(), 1.0f);
-    co_return;
+    return gs::Step::kExit;
   };
   const gs::LaunchResult r =
       dev.launch({gs::Dim3(2, 2, 2), gs::Dim3(4)}, kernel);

@@ -26,8 +26,8 @@ using gs::SanitizerMode;
 using starsim::support::DeviceError;
 using starsim::support::SanitizerError;
 
-// Serialized blocks make coroutine interleavings (and therefore racecheck
-// orderings) deterministic.
+// Serialized blocks make the order of every access (and therefore
+// racecheck orderings) deterministic.
 struct SanitizedDevice : gs::Device {
   explicit SanitizedDevice(SanitizerMode mode = SanitizerMode::kAll)
       : gs::Device(gs::DeviceSpec::test_small()) {
@@ -79,13 +79,13 @@ TEST(Memcheck, OobRoiWriteFlaggedWithCoordinates) {
   SanitizedDevice dev(SanitizerMode::kMemcheck);
   auto buf = dev.malloc<float>(8);
   dev.memset_zero(buf);
-  auto kernel = [&buf](gs::ThreadCtx& ctx) -> gs::ThreadProgram {
+  auto kernel = [&buf](gs::ThreadCtx& ctx, unsigned) {
     if (ctx.block_idx().x == 1 && ctx.thread_idx().x == 2) {
       ctx.store(buf, buf.size() + 5, 99.0f);  // the seeded defect
     } else {
       ctx.store(buf, ctx.block_linear() * 4 + ctx.thread_linear(), 1.0f);
     }
-    co_return;
+    return gs::Step::kExit;
   };
   const gs::LaunchResult r =
       dev.launch({gs::Dim3(2), gs::Dim3(4)}, kernel);
@@ -115,9 +115,9 @@ TEST(Memcheck, UseAfterFreeLoadFlaggedAndZero) {
   auto out = dev.malloc<float>(1);
   dev.memset_zero(freed);
   dev.free(freed);
-  auto kernel = [freed, &out](gs::ThreadCtx& ctx) -> gs::ThreadProgram {
+  auto kernel = [freed, &out](gs::ThreadCtx& ctx, unsigned) {
     ctx.store(out, 0, ctx.load(freed, 0) + 7.0f);
-    co_return;
+    return gs::Step::kExit;
   };
   const gs::LaunchResult r = dev.launch({gs::Dim3(1), gs::Dim3(1)}, kernel);
   EXPECT_EQ(r.sanitizer.count(SanitizerFindingKind::kUseAfterFree), 1u);
@@ -131,9 +131,9 @@ TEST(Memcheck, UninitializedReadReportedButProceeds) {
   SanitizedDevice dev(SanitizerMode::kMemcheck);
   auto buf = dev.malloc<float>(4);  // never written, never memset
   auto out = dev.malloc<float>(1);
-  auto kernel = [&buf, &out](gs::ThreadCtx& ctx) -> gs::ThreadProgram {
+  auto kernel = [&buf, &out](gs::ThreadCtx& ctx, unsigned) {
     ctx.store(out, 0, ctx.load(buf, 2) + 1.0f);
-    co_return;
+    return gs::Step::kExit;
   };
   const gs::LaunchResult r = dev.launch({gs::Dim3(1), gs::Dim3(1)}, kernel);
   ASSERT_EQ(r.sanitizer.count(SanitizerFindingKind::kUninitializedRead), 1u);
@@ -179,11 +179,11 @@ TEST(Memcheck, StaleHandleFreeAfterRecyclingIsCaught) {
 TEST(Memcheck, SharedOutOfBoundsSuppressedNotThrown) {
   SanitizedDevice dev(SanitizerMode::kMemcheck);
   auto out = dev.malloc<float>(1);
-  auto kernel = [&out](gs::ThreadCtx& ctx) -> gs::ThreadProgram {
+  auto kernel = [&out](gs::ThreadCtx& ctx, unsigned) {
     auto shared = ctx.shared_array<float>(4);
     shared.set(0, 5.0f);
     ctx.store(out, 0, shared.get(9));  // beyond extent: suppressed, reads 0
-    co_return;
+    return gs::Step::kExit;
   };
   const gs::LaunchResult r = dev.launch({gs::Dim3(1), gs::Dim3(1)}, kernel);
   EXPECT_EQ(r.sanitizer.count(SanitizerFindingKind::kSharedOutOfBounds), 1u);
@@ -200,9 +200,9 @@ TEST(Memcheck, StaleTextureFetchFlagged) {
   const auto tex = dev.bind_texture_2d(data, 4, 4, gs::AddressMode::kClamp);
   dev.unbind_texture(tex);
   auto out = dev.malloc<float>(1);
-  auto kernel = [tex, &out](gs::ThreadCtx& ctx) -> gs::ThreadProgram {
+  auto kernel = [tex, &out](gs::ThreadCtx& ctx, unsigned) {
     ctx.store(out, 0, ctx.tex2d(tex, 1, 1) + 3.0f);
-    co_return;
+    return gs::Step::kExit;
   };
   const gs::LaunchResult r = dev.launch({gs::Dim3(1), gs::Dim3(1)}, kernel);
   EXPECT_EQ(r.sanitizer.count(SanitizerFindingKind::kInvalidTextureFetch),
@@ -232,12 +232,12 @@ TEST(Memcheck, HostCopyOfUninitializedBufferReported) {
 TEST(Racecheck, MissingBarrierFlagged) {
   SanitizedDevice dev(SanitizerMode::kRacecheck);
   auto out = dev.malloc<float>(8);
-  auto kernel = [&out](gs::ThreadCtx& ctx) -> gs::ThreadProgram {
+  auto kernel = [&out](gs::ThreadCtx& ctx, unsigned) {
     auto shared = ctx.shared_array<float>(1);
     if (ctx.thread_linear() == 0) shared.set(0, 42.0f);
-    // defect: no co_await ctx.syncthreads() here
+    // defect: no barrier (a kSync phase boundary) here
     ctx.store(out, ctx.thread_linear(), shared.get(0));
-    co_return;
+    return gs::Step::kExit;
   };
   const gs::LaunchResult r = dev.launch({gs::Dim3(1), gs::Dim3(8)}, kernel);
   // One finding per shared word, not one per racing pair.
@@ -251,12 +251,14 @@ TEST(Racecheck, MissingBarrierFlagged) {
 TEST(Racecheck, RacingNonAtomicAccumulateFlagged) {
   SanitizedDevice dev(SanitizerMode::kRacecheck);
   auto out = dev.malloc<float>(1);
-  auto kernel = [&out](gs::ThreadCtx& ctx) -> gs::ThreadProgram {
+  auto kernel = [&out](gs::ThreadCtx& ctx, unsigned phase) {
     auto shared = ctx.shared_array<float>(1);
-    shared.set(0, shared.get(0) + 1.0f);  // defect: unsynchronized RMW
-    co_await ctx.syncthreads();
+    if (phase == 0) {
+      shared.set(0, shared.get(0) + 1.0f);  // defect: unsynchronized RMW
+      return gs::Step::kSync;
+    }
     if (ctx.thread_linear() == 0) ctx.store(out, 0, shared.get(0));
-    co_return;
+    return gs::Step::kExit;
   };
   const gs::LaunchResult r = dev.launch({gs::Dim3(1), gs::Dim3(4)}, kernel);
   EXPECT_GE(r.sanitizer.count(SanitizerFindingKind::kSharedRace), 1u);
@@ -266,12 +268,14 @@ TEST(Racecheck, RacingNonAtomicAccumulateFlagged) {
 TEST(Racecheck, BarrierSeparatedAccessesAreClean) {
   SanitizedDevice dev(SanitizerMode::kRacecheck);
   auto out = dev.malloc<float>(8);
-  auto kernel = [&out](gs::ThreadCtx& ctx) -> gs::ThreadProgram {
+  auto kernel = [&out](gs::ThreadCtx& ctx, unsigned phase) {
     auto shared = ctx.shared_array<float>(1);
-    if (ctx.thread_linear() == 0) shared.set(0, 42.0f);
-    co_await ctx.syncthreads();
+    if (phase == 0) {
+      if (ctx.thread_linear() == 0) shared.set(0, 42.0f);
+      return gs::Step::kSync;
+    }
     ctx.store(out, ctx.thread_linear(), shared.get(0));
-    co_return;
+    return gs::Step::kExit;
   };
   const gs::LaunchResult r = dev.launch({gs::Dim3(1), gs::Dim3(8)}, kernel);
   EXPECT_TRUE(r.sanitizer.clean()) << r.sanitizer.summary();
@@ -286,13 +290,13 @@ TEST(Racecheck, BarrierSeparatedAccessesAreClean) {
 // same epoch number, is no hazard.
 TEST(Racecheck, BlocksOnOneThreadDoNotShareRaceCells) {
   SanitizedDevice dev(SanitizerMode::kRacecheck);
-  auto kernel = [](gs::ThreadCtx& ctx) -> gs::ThreadProgram {
+  auto kernel = [](gs::ThreadCtx& ctx, unsigned) {
     auto shared = ctx.shared_array<float>(4);
     if (ctx.thread_linear() == ctx.block_linear()) shared.set(0, 1.0f);
     if (ctx.thread_linear() == (ctx.block_linear() + 1) % 2) {
       (void)shared.get(1);
     }
-    co_return;
+    return gs::Step::kExit;
   };
   const gs::LaunchResult r = dev.launch({gs::Dim3(2), gs::Dim3(2)}, kernel);
   EXPECT_TRUE(r.sanitizer.clean()) << r.sanitizer.summary();
@@ -307,9 +311,11 @@ TEST(Racecheck, BlocksOnOneThreadDoNotShareRaceCells) {
 // Off mode throws on a divergent barrier; under synccheck the launch
 // completes, reports the divergence, and abandons the broken block.
 TEST(Synccheck, DivergentBarrierReportedNotThrown) {
-  auto kernel = [](gs::ThreadCtx& ctx) -> gs::ThreadProgram {
-    if (ctx.thread_linear() == 0) co_return;  // defect: thread 0 skips
-    co_await ctx.syncthreads();
+  auto kernel = [](gs::ThreadCtx& ctx, unsigned phase) {
+    if (phase > 0 || ctx.thread_linear() == 0) {
+      return gs::Step::kExit;  // defect: thread 0 skips the barrier
+    }
+    return gs::Step::kSync;
   };
   {
     SanitizedDevice off(SanitizerMode::kOff);
@@ -323,18 +329,47 @@ TEST(Synccheck, DivergentBarrierReportedNotThrown) {
   EXPECT_EQ(r.sanitizer.findings.front().epoch, 0u);
 }
 
+// The same defect at the block's second barrier: the first one is crossed
+// (counted, epoch 0 -> 1), then thread 0 exits while its siblings wait.
+TEST(Synccheck, DivergenceAtSecondBarrierReportsEpochOne) {
+  auto kernel = [](gs::ThreadCtx& ctx, unsigned phase) {
+    if (phase == 0) return gs::Step::kSync;
+    if (phase > 1 || ctx.thread_linear() == 0) {
+      return gs::Step::kExit;  // defect: thread 0 skips the second barrier
+    }
+    return gs::Step::kSync;
+  };
+  {
+    SanitizedDevice off(SanitizerMode::kOff);
+    EXPECT_THROW((void)off.launch({gs::Dim3(1), gs::Dim3(4)}, kernel),
+                 DeviceError);
+  }
+  SanitizedDevice dev(SanitizerMode::kSynccheck);
+  gs::LaunchResult r;
+  ASSERT_NO_THROW(r = dev.launch({gs::Dim3(1), gs::Dim3(4)}, kernel));
+  ASSERT_EQ(r.sanitizer.count(SanitizerFindingKind::kBarrierDivergence), 1u);
+  const SanitizerFinding& f = r.sanitizer.findings.front();
+  EXPECT_EQ(f.epoch, 1u);
+  EXPECT_EQ(f.thread.x, 1u);  // the first thread waiting at the barrier
+  EXPECT_EQ(r.counters.barriers, 1u);  // the crossed barrier, one warp
+}
+
 // Divergence in one block must not poison the others' results.
 TEST(Synccheck, HealthyBlocksSurviveASiblingsDivergence) {
   SanitizedDevice dev(SanitizerMode::kSynccheck);
   auto out = dev.malloc<float>(4);
   dev.memset_zero(out);
-  auto kernel = [&out](gs::ThreadCtx& ctx) -> gs::ThreadProgram {
-    if (ctx.block_idx().x == 1 && ctx.thread_linear() == 0) co_return;
-    co_await ctx.syncthreads();
+  auto kernel = [&out](gs::ThreadCtx& ctx, unsigned phase) {
+    if (phase == 0) {
+      if (ctx.block_idx().x == 1 && ctx.thread_linear() == 0) {
+        return gs::Step::kExit;
+      }
+      return gs::Step::kSync;
+    }
     if (ctx.thread_linear() == 0) {
       ctx.store(out, ctx.block_linear(), 1.0f);
     }
-    co_return;
+    return gs::Step::kExit;
   };
   const gs::LaunchResult r = dev.launch({gs::Dim3(4), gs::Dim3(2)}, kernel);
   EXPECT_EQ(r.sanitizer.count(SanitizerFindingKind::kBarrierDivergence), 1u);
@@ -382,9 +417,9 @@ TEST(Leakcheck, LeakedLutBufferAndBoundTextureReported) {
 TEST(Sanitizer, PerLaunchOverrideOnAnUninstrumentedDevice) {
   SanitizedDevice dev(SanitizerMode::kOff);
   auto buf = dev.malloc<float>(4);
-  auto kernel = [&buf](gs::ThreadCtx& ctx) -> gs::ThreadProgram {
+  auto kernel = [&buf](gs::ThreadCtx& ctx, unsigned) {
     ctx.store(buf, 17, 1.0f);  // out of bounds
-    co_return;
+    return gs::Step::kExit;
   };
   // Plain launch on an off device keeps the strict throwing contract.
   EXPECT_THROW((void)dev.launch({gs::Dim3(1), gs::Dim3(1)}, kernel),
@@ -400,9 +435,9 @@ TEST(Sanitizer, PerLaunchOverrideOnAnUninstrumentedDevice) {
 TEST(Sanitizer, ReportCapKeepsCounting) {
   SanitizedDevice dev(SanitizerMode::kMemcheck);
   auto buf = dev.malloc<float>(1);
-  auto kernel = [&buf](gs::ThreadCtx& ctx) -> gs::ThreadProgram {
+  auto kernel = [&buf](gs::ThreadCtx& ctx, unsigned) {
     ctx.store(buf, 2 + ctx.thread_linear(), 1.0f);  // every store OOB
-    co_return;
+    return gs::Step::kExit;
   };
   const gs::LaunchResult r =
       dev.launch({gs::Dim3(8), gs::Dim3(64)}, kernel);

@@ -26,9 +26,9 @@ class TextureFixture : public ::testing::Test {
   /// Run a one-thread kernel that fetches (x, y) and return the value.
   float fetch(gs::TextureHandle tex, int x, int y) {
     auto out = dev_.malloc<float>(1);
-    auto kernel = [&](gs::ThreadCtx& ctx) -> gs::ThreadProgram {
+    auto kernel = [&](gs::ThreadCtx& ctx, unsigned) {
       ctx.store(out, 0, ctx.tex2d(tex, x, y));
-      co_return;
+      return gs::Step::kExit;
     };
     (void)dev_.launch({gs::Dim3(1), gs::Dim3(1)}, kernel);
     std::vector<float> host(1);
@@ -70,9 +70,9 @@ TEST_F(TextureFixture, BorderModeReturnsBorderValue) {
 
 TEST_F(TextureFixture, RepeatFetchHitsCache) {
   const auto tex = dev_.bind_texture_2d(data_, 8, 8, gs::AddressMode::kClamp);
-  auto kernel = [&](gs::ThreadCtx& ctx) -> gs::ThreadProgram {
+  auto kernel = [&](gs::ThreadCtx& ctx, unsigned) {
     for (int i = 0; i < 10; ++i) (void)ctx.tex2d(tex, 2, 2);
-    co_return;
+    return gs::Step::kExit;
   };
   const gs::LaunchResult r = dev_.launch({gs::Dim3(1), gs::Dim3(1)}, kernel);
   EXPECT_EQ(r.counters.texture_fetches, 10u);
@@ -89,9 +89,9 @@ TEST_F(TextureFixture, NeighborhoodSharesLinesViaMorton) {
   // rest hits (row-major in global memory would be 8 distinct 32B lines for
   // a wide texture; see test_gpusim_morton for the locality property).
   const auto tex = dev_.bind_texture_2d(data_, 8, 8, gs::AddressMode::kClamp);
-  auto kernel = [&](gs::ThreadCtx& ctx) -> gs::ThreadProgram {
+  auto kernel = [&](gs::ThreadCtx& ctx, unsigned) {
     for (int y = 0; y < 8; ++y) (void)ctx.tex2d(tex, 0, y);
-    co_return;
+    return gs::Step::kExit;
   };
   const gs::LaunchResult r = dev_.launch({gs::Dim3(1), gs::Dim3(1)}, kernel);
   EXPECT_LE(r.counters.texture_misses, 4u);
@@ -102,9 +102,9 @@ TEST_F(TextureFixture, NeighborhoodSharesLinesViaMorton) {
 TEST_F(TextureFixture, BorderFetchCountsAsHitWithoutCacheTransaction) {
   const auto tex =
       dev_.bind_texture_2d(data_, 8, 8, gs::AddressMode::kBorder, 0.0f);
-  auto kernel = [&](gs::ThreadCtx& ctx) -> gs::ThreadProgram {
+  auto kernel = [&](gs::ThreadCtx& ctx, unsigned) {
     (void)ctx.tex2d(tex, -1, -1);
-    co_return;
+    return gs::Step::kExit;
   };
   const gs::LaunchResult r = dev_.launch({gs::Dim3(1), gs::Dim3(1)}, kernel);
   EXPECT_EQ(r.counters.texture_fetches, 1u);
@@ -114,9 +114,9 @@ TEST_F(TextureFixture, BorderFetchCountsAsHitWithoutCacheTransaction) {
 
 TEST_F(TextureFixture, CachesResetBetweenLaunches) {
   const auto tex = dev_.bind_texture_2d(data_, 8, 8, gs::AddressMode::kClamp);
-  auto kernel = [&](gs::ThreadCtx& ctx) -> gs::ThreadProgram {
+  auto kernel = [&](gs::ThreadCtx& ctx, unsigned) {
     (void)ctx.tex2d(tex, 1, 1);
-    co_return;
+    return gs::Step::kExit;
   };
   (void)dev_.launch({gs::Dim3(1), gs::Dim3(1)}, kernel);
   const gs::LaunchResult r2 = dev_.launch({gs::Dim3(1), gs::Dim3(1)}, kernel);
@@ -128,9 +128,9 @@ TEST_F(TextureFixture, CachesResetBetweenLaunches) {
 TEST_F(TextureFixture, FetchThroughUnboundHandleThrows) {
   const auto tex = dev_.bind_texture_2d(data_, 8, 8, gs::AddressMode::kClamp);
   dev_.unbind_texture(tex);
-  auto kernel = [&](gs::ThreadCtx& ctx) -> gs::ThreadProgram {
+  auto kernel = [&](gs::ThreadCtx& ctx, unsigned) {
     (void)ctx.tex2d(tex, 0, 0);
-    co_return;
+    return gs::Step::kExit;
   };
   EXPECT_THROW((void)dev_.launch({gs::Dim3(1), gs::Dim3(1)}, kernel),
                PreconditionError);

@@ -158,9 +158,9 @@ TEST(WarpAccess, KernelUnitStrideLoadsCoalesce) {
   SerialDevice dev;
   auto buf = dev.malloc<float>(64);
   dev.memset_zero(buf);
-  auto kernel = [&buf](gs::ThreadCtx& ctx) -> gs::ThreadProgram {
+  auto kernel = [&buf](gs::ThreadCtx& ctx, unsigned) {
     (void)ctx.load(buf, ctx.thread_linear());
-    co_return;
+    return gs::Step::kExit;
   };
   // 64 threads = 2 warps; each warp's 32 x 4 B = one 128 B transaction.
   const gs::LaunchResult r = dev.launch({gs::Dim3(1), gs::Dim3(64)}, kernel);
@@ -172,9 +172,9 @@ TEST(WarpAccess, KernelStridedLoadsDoNotCoalesce) {
   SerialDevice dev;
   auto buf = dev.malloc<float>(32 * 32);
   dev.memset_zero(buf);
-  auto kernel = [&buf](gs::ThreadCtx& ctx) -> gs::ThreadProgram {
+  auto kernel = [&buf](gs::ThreadCtx& ctx, unsigned) {
     (void)ctx.load(buf, ctx.thread_linear() * 32ull);  // 128 B apart
-    co_return;
+    return gs::Step::kExit;
   };
   const gs::LaunchResult r = dev.launch({gs::Dim3(1), gs::Dim3(32)}, kernel);
   EXPECT_EQ(r.counters.global_transactions, 32u);
@@ -186,7 +186,7 @@ TEST(WarpAccess, DistinctAllocationsNeverCoalesce) {
   auto b = dev.malloc<float>(32);
   dev.memset_zero(a);
   dev.memset_zero(b);
-  auto kernel = [&a, &b](gs::ThreadCtx& ctx) -> gs::ThreadProgram {
+  auto kernel = [&a, &b](gs::ThreadCtx& ctx, unsigned) {
     // Even threads read allocation a at offset 0, odd threads b at offset
     // 0: same byte offsets, different buffers — two transactions.
     if (ctx.thread_linear() % 2 == 0) {
@@ -194,7 +194,7 @@ TEST(WarpAccess, DistinctAllocationsNeverCoalesce) {
     } else {
       (void)ctx.load(b, 0);
     }
-    co_return;
+    return gs::Step::kExit;
   };
   const gs::LaunchResult r = dev.launch({gs::Dim3(1), gs::Dim3(32)}, kernel);
   EXPECT_EQ(r.counters.global_transactions, 2u);
@@ -203,20 +203,22 @@ TEST(WarpAccess, DistinctAllocationsNeverCoalesce) {
 TEST(WarpAccess, SharedBroadcastReadHasNoConflicts) {
   SerialDevice dev;
   // The Fig. 6 pattern: every thread reads shared[0..2].
-  auto kernel = [](gs::ThreadCtx& ctx) -> gs::ThreadProgram {
+  auto kernel = [](gs::ThreadCtx& ctx, unsigned phase) {
     auto shared = ctx.shared_array<float>(3);
-    if (ctx.thread_linear() == 0) {
-      shared.set(0, 1.0f);
-      shared.set(1, 2.0f);
-      shared.set(2, 3.0f);
+    if (phase == 0) {
+      if (ctx.thread_linear() == 0) {
+        shared.set(0, 1.0f);
+        shared.set(1, 2.0f);
+        shared.set(2, 3.0f);
+      }
+      return gs::Step::kSync;
     }
-    co_await ctx.syncthreads();
     float total = 0.0f;
     total += shared.get(0);
     total += shared.get(1);
     total += shared.get(2);
     ctx.count_flops(static_cast<std::uint64_t>(total) == 6u ? 1 : 1);
-    co_return;
+    return gs::Step::kExit;
   };
   const gs::LaunchResult r = dev.launch({gs::Dim3(2), gs::Dim3(64)}, kernel);
   EXPECT_EQ(r.counters.shared_bank_conflicts, 0u);
@@ -224,10 +226,10 @@ TEST(WarpAccess, SharedBroadcastReadHasNoConflicts) {
 
 TEST(WarpAccess, SharedStrideTwoConflicts) {
   SerialDevice dev;
-  auto kernel = [](gs::ThreadCtx& ctx) -> gs::ThreadProgram {
+  auto kernel = [](gs::ThreadCtx& ctx, unsigned) {
     auto shared = ctx.shared_array<float>(128);
     shared.set(ctx.thread_linear() * 2ull, 1.0f);  // 8-byte stride
-    co_return;
+    return gs::Step::kExit;
   };
   const gs::LaunchResult r = dev.launch({gs::Dim3(1), gs::Dim3(32)}, kernel);
   EXPECT_EQ(r.counters.shared_bank_conflicts, 1u);
@@ -235,10 +237,10 @@ TEST(WarpAccess, SharedStrideTwoConflicts) {
 
 TEST(WarpAccess, SharedSameBankWorstCase) {
   SerialDevice dev;  // 1 KiB shared per block caps the array at 256 floats
-  auto kernel = [](gs::ThreadCtx& ctx) -> gs::ThreadProgram {
+  auto kernel = [](gs::ThreadCtx& ctx, unsigned) {
     auto shared = ctx.shared_array<float>(8ull * 32ull);
     shared.set(ctx.thread_linear() * 32ull, 1.0f);  // all bank 0
-    co_return;
+    return gs::Step::kExit;
   };
   const gs::LaunchResult r = dev.launch({gs::Dim3(1), gs::Dim3(8)}, kernel);
   EXPECT_EQ(r.counters.shared_bank_conflicts, 7u);
