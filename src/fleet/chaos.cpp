@@ -198,7 +198,7 @@ PendingReply ChaosTransport::submit(const WireBuffer& frame,
             instance() + " reply blocked by injected partition")));
   }
 
-  if (delay_s <= 0.0 && !corrupt && !reorder) return std::move(reply);
+  if (delay_s <= 0.0 && !corrupt && !reorder) return reply;
 
   // Reply-side faults: a worker takes the real reply (take() folds any
   // transport failure into a typed error frame, so the pipeline below is

@@ -110,6 +110,23 @@ const LaunchResult& Device::last_launch() const {
   return *last_launch_;
 }
 
+void Device::account_h2d(trace::TraceSpan& span, std::byte* dst,
+                         std::size_t bytes) {
+  const double modeled_s =
+      estimate_transfer_time(spec_, bytes, pinned_transfers_);
+  transfers_.h2d_bytes += bytes;
+  transfers_.h2d_calls += 1;
+  transfers_.h2d_s += modeled_s;
+  if (span.armed()) [[unlikely]] {
+    span.arg("bytes", bytes)
+        .arg("modeled_s", modeled_s)
+        .arg("pinned", pinned_transfers_);
+  }
+  if (fault_injector_ != nullptr) [[unlikely]] {
+    fault_injector_->on_transfer(FaultSite::kMemcpyH2D, dst, bytes);
+  }
+}
+
 void Device::validate_launch(const LaunchConfig& config) const {
   STARSIM_REQUIRE(config.total_blocks() > 0, "empty grid");
   STARSIM_REQUIRE(config.threads_per_block() > 0, "empty block");

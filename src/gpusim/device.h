@@ -147,21 +147,19 @@ class Device {
     trace::TraceSpan span("gpusim", "memcpy_h2d");
     std::memcpy(dst.raw(), src.data(), src.size_bytes());
     dst.sanitizer_mark_initialized(0, src.size_bytes());
-    const double modeled_s =
-        estimate_transfer_time(spec_, src.size_bytes(), pinned_transfers_);
-    transfers_.h2d_bytes += src.size_bytes();
-    transfers_.h2d_calls += 1;
-    transfers_.h2d_s += modeled_s;
-    if (span.armed()) [[unlikely]] {
-      span.arg("bytes", src.size_bytes())
-          .arg("modeled_s", modeled_s)
-          .arg("pinned", pinned_transfers_);
-    }
-    if (fault_injector_ != nullptr) [[unlikely]] {
-      fault_injector_->on_transfer(FaultSite::kMemcpyH2D,
-                                   reinterpret_cast<std::byte*>(dst.raw()),
-                                   src.size_bytes());
-    }
+    account_h2d(span, reinterpret_cast<std::byte*>(dst.raw()),
+                src.size_bytes());
+  }
+
+  /// Upload a zero-filled host buffer the size of `dst` without building
+  /// one: the same bytes, call, modeled seconds, span, memcheck marking
+  /// and fault-injection site as memcpy_h2d of that buffer.
+  template <typename T>
+  void memcpy_h2d_zero(const DevicePtr<T>& dst) {
+    trace::TraceSpan span("gpusim", "memcpy_h2d");
+    std::memset(dst.raw(), 0, dst.bytes());
+    dst.sanitizer_mark_initialized(0, dst.bytes());
+    account_h2d(span, reinterpret_cast<std::byte*>(dst.raw()), dst.bytes());
   }
 
   /// Copy device -> host; accrues modeled PCIe time. Same typed-error
@@ -290,7 +288,7 @@ class Device {
     state.totals.atomic_conflicts =
         state.totals.atomic_ops - state.atomic_addresses_touched();
     LaunchResult result{config, state.totals,
-                        estimate_kernel_time(spec_, config, state.totals)};
+                        estimate_kernel_time(spec_, config, state.totals), {}};
     if (span.armed()) [[unlikely]] {
       span.arg("grid_x", config.grid.x)
           .arg("grid_y", config.grid.y)
@@ -358,6 +356,9 @@ class Device {
 
  private:
   void validate_launch(const LaunchConfig& config) const;
+  /// The accounting half of an h2d upload of `bytes` already written to
+  /// `dst`: modeled time, TransferStats, span args, fault injection.
+  void account_h2d(trace::TraceSpan& span, std::byte* dst, std::size_t bytes);
 
   DeviceSpec spec_;
   DeviceMemoryManager memory_;

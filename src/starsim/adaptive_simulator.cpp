@@ -130,20 +130,13 @@ class SharedTable {
   SharedTable(gpusim::Device& device, const SceneConfig& scene,
               const LookupTableOptions& options)
       : device_(device),
-        table_(LookupTable::build(scene, options)),
+        table_(build_fitting(device, scene, options)),
         inv_bin_width_(options.bins_per_magnitude) {
     trace::TraceSpan span("starsim", "lut_setup");
     if (span.armed()) [[unlikely]] {
       span.arg("entries", table_.entries())
           .arg("magnitude_bins", table_.magnitude_bins())
           .arg("phases", table_.phases());
-    }
-    if (AdaptiveSimulator::max_magnitude_bins(device_, scene.roi_side,
-                                              options.subpixel_phases) <
-        table_.magnitude_bins()) {
-      throw support::DeviceError(
-          "lookup table does not fit the device's texture limits: " +
-          std::to_string(table_.magnitude_bins()) + " bins requested");
     }
     device_.reset_transfer_stats();
     buffer_ = device_.malloc<float>(table_.entries());
@@ -181,6 +174,22 @@ class SharedTable {
   }
 
  private:
+  /// Build the table once its bin count is known to fit the device's
+  /// texture limits, so an oversized request builds nothing.
+  static LookupTable build_fitting(const gpusim::Device& device,
+                                   const SceneConfig& scene,
+                                   const LookupTableOptions& options) {
+    const int bins = LookupTable::magnitude_bins_for(scene, options);
+    if (AdaptiveSimulator::max_magnitude_bins(device, scene.roi_side,
+                                              options.subpixel_phases) <
+        bins) {
+      throw support::DeviceError(
+          "lookup table does not fit the device's texture limits: " +
+          std::to_string(bins) + " bins requested");
+    }
+    return LookupTable::build(scene, options);
+  }
+
   void release() noexcept {
     try {
       if (texture_.valid()) device_.unbind_texture(texture_);

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <span>
-#include <vector>
 
 #include "gpusim/device.h"
 #include "imageio/image.h"
@@ -38,8 +37,7 @@ class DeviceFrame {
       if (!stars.empty()) device_.memcpy_h2d(stars_, stars);
       // The paper's pipeline ships the initial (blank) image to the device;
       // the 1024^2 float image dominates Table I's transmission time.
-      const std::vector<float> blank(pixel_count_, 0.0f);
-      device_.memcpy_h2d(image_, std::span<const float>(blank));
+      device_.memcpy_h2d_zero(image_);
     } catch (...) {
       release();
       throw;

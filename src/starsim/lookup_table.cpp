@@ -10,11 +10,19 @@
 
 namespace starsim {
 
+int LookupTable::magnitude_bins_for(const SceneConfig& scene,
+                                    const LookupTableOptions& options) {
+  STARSIM_REQUIRE(options.bins_per_magnitude > 0,
+                  "bins_per_magnitude must be positive");
+  const double span = scene.magnitude_max - scene.magnitude_min;
+  return std::max(
+      1, static_cast<int>(std::ceil(span * options.bins_per_magnitude)));
+}
+
 LookupTable LookupTable::build(const SceneConfig& scene,
                                const LookupTableOptions& options) {
   scene.validate();
-  STARSIM_REQUIRE(options.bins_per_magnitude > 0,
-                  "bins_per_magnitude must be positive");
+  const int magnitude_bins = magnitude_bins_for(scene, options);
   STARSIM_REQUIRE(options.subpixel_phases > 0,
                   "subpixel_phases must be positive");
 
@@ -25,47 +33,50 @@ LookupTable LookupTable::build(const SceneConfig& scene,
   table.phases_ = options.subpixel_phases;
   table.magnitude_min_ = scene.magnitude_min;
   table.bin_width_ = 1.0 / options.bins_per_magnitude;
-  const double span = scene.magnitude_max - scene.magnitude_min;
-  table.magnitude_bins_ = std::max(
-      1, static_cast<int>(std::ceil(span * options.bins_per_magnitude)));
+  table.magnitude_bins_ = magnitude_bins;
 
   const GaussianPsf psf(scene.psf_sigma);
   const int side = table.roi_side_;
   const int margin = table.margin();
   const int phases = table.phases_;
-  table.values_.resize(table.entries());
 
-  for (int bin = 0; bin < table.magnitude_bins_; ++bin) {
-    const double brightness =
-        scene.brightness.brightness(table.bin_magnitude(bin));
-    for (int phase_y = 0; phase_y < phases; ++phase_y) {
-      const double off_y = table.phase_center(phase_y);
-      for (int phase_x = 0; phase_x < phases; ++phase_x) {
-        const double off_x = table.phase_center(phase_x);
-        const int base_row = table.row_base(bin, phase_x, phase_y);
-        for (int row = 0; row < side; ++row) {
-          const double dy = static_cast<double>(row - margin) - off_y;
-          float* dst = table.values_.data() +
-                       static_cast<std::size_t>(base_row + row) *
-                           static_cast<std::size_t>(side);
-          for (int col = 0; col < side; ++col) {
-            const double dx = static_cast<double>(col - margin) - off_x;
-            const double rate = scene.pixel_integration
-                                    ? psf.integrated_rate(dx, dy)
-                                    : psf.intensity_rate(dx, dy);
-            dst[col] = static_cast<float>(brightness * rate);
-          }
+  // The PSF depends only on the (phase, ROI offset) pair, so evaluate it
+  // once per pair, in the table's row order within a bin.
+  std::vector<double> rates;
+  rates.reserve(static_cast<std::size_t>(phases * phases * side * side));
+  for (int phase_y = 0; phase_y < phases; ++phase_y) {
+    const double off_y = table.phase_center(phase_y);
+    for (int phase_x = 0; phase_x < phases; ++phase_x) {
+      const double off_x = table.phase_center(phase_x);
+      for (int row = 0; row < side; ++row) {
+        const double dy = static_cast<double>(row - margin) - off_y;
+        for (int col = 0; col < side; ++col) {
+          const double dx = static_cast<double>(col - margin) - off_x;
+          rates.push_back(scene.pixel_integration
+                              ? psf.integrated_rate(dx, dy)
+                              : psf.intensity_rate(dx, dy));
         }
       }
     }
   }
 
-  table.build_wall_s_ = wall.seconds();
+  // Each bin's block is that matrix scaled by the bin's brightness: the
+  // same double product a per-entry evaluation rounds, so the same bits.
+  table.values_.resize(table.entries());
+  float* dst = table.values_.data();
+  for (int bin = 0; bin < table.magnitude_bins_; ++bin) {
+    const double brightness =
+        scene.brightness.brightness(table.bin_magnitude(bin));
+    for (const double rate : rates) {
+      *dst++ = static_cast<float>(brightness * rate);
+    }
+  }
+
   if (trace_span.armed()) [[unlikely]] {
     trace_span.arg("entries", table.entries())
         .arg("magnitude_bins", table.magnitude_bins_)
         .arg("phases", table.phases_)
-        .arg("build_wall_s", table.build_wall_s_);
+        .arg("build_wall_s", wall.seconds());
   }
   return table;
 }

@@ -12,6 +12,13 @@
 //   subpixel_phases — star positions quantized to P x P subpixel phases per
 //     pixel instead of pixel centers (paper: 1). Each phase gets its own
 //     ROI matrix, multiplying table rows by P^2.
+//
+// The build is factored: the PSF is evaluated once per (phase, ROI offset)
+// into a P^2 x roi_side^2 double rate matrix, and each bin's block is that
+// matrix times brightness(bin), rounded to float. Only the scale depends on
+// the bin, so a table of B bins costs P^2 * roi_side^2 PSF evaluations (exp,
+// or four erf with pixel integration) plus B * P^2 * roi_side^2 multiplies,
+// and every entry is the same double product a per-entry build rounds.
 #pragma once
 
 #include <cstdint>
@@ -31,9 +38,13 @@ class LookupTable {
  public:
   /// Build the table on the CPU ("we run it on CPU platform instead of GPU
   /// kernel, due to the small execution overhead and little data
-  /// parallelism" — Section IV-D). Records the build wall time.
+  /// parallelism" — Section IV-D).
   static LookupTable build(const SceneConfig& scene,
                            const LookupTableOptions& options = {});
+
+  /// Magnitude bins build(scene, options) would produce, without building.
+  [[nodiscard]] static int magnitude_bins_for(
+      const SceneConfig& scene, const LookupTableOptions& options);
 
   [[nodiscard]] int roi_side() const { return roi_side_; }
   [[nodiscard]] int margin() const { return roi_side_ / 2; }
@@ -70,9 +81,6 @@ class LookupTable {
   [[nodiscard]] float at(int bin, int phase_x, int phase_y, int roi_row,
                          int roi_col) const;
 
-  /// Wall-clock seconds the build took on this machine.
-  [[nodiscard]] double build_wall_s() const { return build_wall_s_; }
-
  private:
   LookupTable() = default;
 
@@ -82,7 +90,6 @@ class LookupTable {
   double magnitude_min_ = 0.0;
   double bin_width_ = 1.0;
   std::vector<float> values_;
-  double build_wall_s_ = 0.0;
 };
 
 }  // namespace starsim

@@ -377,9 +377,9 @@ TEST(FleetChaos, HedgeLoserDeadlineRepliesSpareTheBreaker) {
 
   constexpr int kRequests = 4;
   for (int i = 0; i < kRequests; ++i) {
-    RenderRequest request =
-        pinned_request(scene, random_stars(40 + i, 4),
-                       SimulatorKind::kSequential);
+    RenderRequest request = pinned_request(
+        scene, random_stars(40 + static_cast<std::uint64_t>(i), 4),
+        SimulatorKind::kSequential);
     request.deadline_s = 0.030;
     try {
       (void)router.render(std::move(request));

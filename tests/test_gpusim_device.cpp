@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <numeric>
+#include <variant>
 #include <vector>
 
 #include "support/error.h"
+#include "trace/trace.h"
 
 namespace {
 
@@ -115,6 +118,61 @@ TEST(Device, MemsetZeroClearsWithoutPcieTraffic) {
   dev.memcpy_d2h(std::span<float>(host), d);
   for (float v : host) EXPECT_EQ(v, 0.0f);
   dev.free(d);
+}
+
+// memcpy_h2d_zero stands in for uploading a zero-filled host buffer: the
+// same device bytes, TransferStats (bit-equal modeled seconds) and span.
+TEST(Device, ZeroUploadChargesLikeZeroBufferUpload) {
+  for (const bool pinned : {false, true}) {
+    gs::Device copied(gs::DeviceSpec::gtx480());
+    gs::Device zeroed(gs::DeviceSpec::gtx480());
+    copied.set_pinned_transfers(pinned);
+    zeroed.set_pinned_transfers(pinned);
+    constexpr std::size_t kPixels = 1000 * 777;
+    auto a = copied.malloc<float>(kPixels);
+    auto b = zeroed.malloc<float>(kPixels);
+    // Dirty the destination first: the zero upload must overwrite it.
+    const std::vector<float> dirty(kPixels, 3.5f);
+    zeroed.memcpy_h2d(b, std::span<const float>(dirty));
+    copied.reset_transfer_stats();
+    zeroed.reset_transfer_stats();
+
+    const std::vector<float> blank(kPixels, 0.0f);
+    copied.memcpy_h2d(a, std::span<const float>(blank));
+    starsim::trace::TraceRecorder::instance().start();
+    zeroed.memcpy_h2d_zero(b);
+    starsim::trace::TraceRecorder::instance().stop();
+    const starsim::trace::TraceSnapshot snapshot =
+        starsim::trace::TraceRecorder::instance().snapshot();
+    starsim::trace::TraceRecorder::instance().clear();
+
+    const gs::TransferStats& want = copied.transfer_stats();
+    const gs::TransferStats& got = zeroed.transfer_stats();
+    EXPECT_EQ(got.h2d_bytes, want.h2d_bytes);
+    EXPECT_EQ(got.h2d_calls, want.h2d_calls);
+    EXPECT_EQ(got.h2d_s, want.h2d_s);
+    EXPECT_EQ(got.d2h_bytes, want.d2h_bytes);
+    EXPECT_EQ(got.d2h_calls, want.d2h_calls);
+    EXPECT_EQ(got.d2h_s, want.d2h_s);
+    EXPECT_EQ(got.texture_binds, want.texture_binds);
+    EXPECT_EQ(got.texture_bind_s, want.texture_bind_s);
+
+    ASSERT_EQ(snapshot.events.size(), 2u);
+    EXPECT_STREQ(snapshot.events[0].category, "gpusim");
+    EXPECT_STREQ(snapshot.events[0].name, "memcpy_h2d");
+    const auto& args = snapshot.events[1].args;
+    ASSERT_EQ(args.size(), 3u);
+    EXPECT_EQ(std::get<std::int64_t>(args[0].value),
+              static_cast<std::int64_t>(kPixels * sizeof(float)));
+    EXPECT_EQ(std::get<double>(args[1].value), want.h2d_s);
+    EXPECT_EQ(std::get<bool>(args[2].value), pinned);
+
+    std::vector<float> back(kPixels, -1.0f);
+    zeroed.memcpy_d2h(std::span<float>(back), b);
+    EXPECT_EQ(back, blank);
+    copied.free(a);
+    zeroed.free(b);
+  }
 }
 
 TEST(Device, TextureBindAccruesModeledCost) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 #include "gpusim/device.h"
@@ -236,6 +238,34 @@ TEST(FaultInjector, DeviceConsultsInjectorOnTransfers) {
   device.set_fault_injector(nullptr);
   EXPECT_NO_THROW(device.memcpy_h2d(buffer, std::span<const float>(host)));
   device.free(buffer);
+}
+
+// The zero upload is an h2d transfer site: an injected in-flight bit flip
+// lands in the freshly zeroed image, exactly one byte of it.
+TEST(FaultInjector, ZeroUploadCarriesInjectedBitFlip) {
+  gs::Device device(gs::DeviceSpec::gtx480());
+  FaultPolicy policy;
+  policy.seed = 29;
+  policy.h2d_fault_rate = 1.0;
+  policy.corruption_fraction = 1.0;  // every fault corrupts
+  FaultInjector injector(policy);
+  device.set_fault_injector(&injector);
+  auto image = device.malloc<float>(4096);
+  EXPECT_THROW(device.memcpy_h2d_zero(image), TransferError);
+  device.set_fault_injector(nullptr);
+  ASSERT_EQ(injector.history().size(), 1u);
+  EXPECT_EQ(injector.history()[0].site, FaultSite::kMemcpyH2D);
+  EXPECT_EQ(injector.history()[0].kind, FaultKind::kTransferCorruption);
+  std::vector<float> host(image.size(), -1.0f);
+  device.memcpy_d2h(std::span<float>(host), image);
+  int flipped_bits = 0;
+  for (const float v : host) {
+    const auto word = std::bit_cast<std::uint32_t>(v);
+    EXPECT_EQ(word & ~0x40404040u, 0u);  // only a 0x40 in some byte
+    flipped_bits += std::popcount(word);
+  }
+  EXPECT_EQ(flipped_bits, 1);
+  device.free(image);
 }
 
 TEST(FaultInjector, DeviceMallocConsultsInjector) {

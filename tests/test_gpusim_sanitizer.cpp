@@ -146,6 +146,29 @@ TEST(Memcheck, UninitializedReadReportedButProceeds) {
   dev.free(out);
 }
 
+// A zero upload initializes every byte it ships, like the host copy it
+// stands in for: neither a kernel load nor the readback is an
+// uninitialized read.
+TEST(Memcheck, ZeroUploadInitializesTheImage) {
+  SanitizedDevice dev(SanitizerMode::kMemcheck);
+  auto image = dev.malloc<float>(64);
+  dev.memcpy_h2d_zero(image);
+  auto kernel = [&image](gs::ThreadCtx& ctx, unsigned) {
+    const std::size_t i = ctx.thread_idx().x;
+    ctx.store(image, i, ctx.load(image, i) + 1.0f);
+    return gs::Step::kExit;
+  };
+  const gs::LaunchResult r = dev.launch({gs::Dim3(1), gs::Dim3(64)}, kernel);
+  EXPECT_EQ(r.sanitizer.count(SanitizerFindingKind::kUninitializedRead), 0u);
+  std::vector<float> host(64);
+  dev.memcpy_d2h(std::span<float>(host), image);
+  EXPECT_EQ(dev.sanitizer_report().count(
+                SanitizerFindingKind::kUninitializedRead),
+            0u);
+  for (float v : host) EXPECT_EQ(v, 1.0f);
+  dev.free(image);
+}
+
 TEST(Memcheck, DoubleFreeIsTypedAndNeverRetryable) {
   SanitizedDevice dev(SanitizerMode::kMemcheck);
   auto buf = dev.malloc<float>(16);

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string_view>
 
 #include "sched/cost.h"
 #include "starsim/parallel_simulator.h"
@@ -11,6 +12,7 @@
 #include "starsim/workload.h"
 #include "support/error.h"
 #include "support/rng.h"
+#include "trace/trace.h"
 
 namespace {
 
@@ -241,6 +243,54 @@ TEST(Adaptive, OversizedTableThrows) {
   const StarField stars(1, Star{3.0f, 32.0f, 32.0f, 1.0f});
   EXPECT_THROW((void)ada.simulate(scene, stars),
                starsim::support::DeviceError);
+}
+
+/// Number of `name` spans the traced `body` began in category starsim.
+template <typename Fn>
+int starsim_spans_during(const char* name, Fn&& body) {
+  auto& recorder = starsim::trace::TraceRecorder::instance();
+  recorder.start();
+  try {
+    body();
+  } catch (...) {
+    recorder.stop();
+    recorder.clear();
+    throw;
+  }
+  recorder.stop();
+  int begun = 0;
+  for (const starsim::trace::TraceEvent& event : recorder.snapshot().events) {
+    if (event.phase == starsim::trace::Phase::kBegin &&
+        std::string_view(event.category) == "starsim" &&
+        std::string_view(event.name) == name) {
+      ++begun;
+    }
+  }
+  recorder.clear();
+  return begun;
+}
+
+// The texture-fit check runs on the bin count alone: an oversized request
+// throws before building (and discarding) a table.
+TEST(Adaptive, OversizedTableThrowsBeforeBuilding) {
+  gs::Device device(gs::DeviceSpec::gtx480());
+  const SceneConfig scene = scene_of(64, 10);
+  const StarField stars(1, Star{3.0f, 32.0f, 32.0f, 1.0f});
+  LookupTableOptions oversized;
+  oversized.bins_per_magnitude = 1000;  // 15000 bins > 6553 extent limit
+  AdaptiveSimulator too_fine(device, oversized);
+  const int builds = starsim_spans_during("lut_build", [&] {
+    EXPECT_THROW((void)too_fine.simulate(scene, stars),
+                 starsim::support::DeviceError);
+  });
+  EXPECT_EQ(builds, 0);
+  EXPECT_EQ(device.memory().live_allocations(), 0u);
+
+  // The same probe sees the build of a table that fits.
+  AdaptiveSimulator fitting(device);
+  EXPECT_EQ(starsim_spans_during(
+                "lut_build", [&] { (void)fitting.simulate(scene, stars); }),
+            1);
 }
 
 TEST(Adaptive, EmptyStarFieldShortCircuits) {

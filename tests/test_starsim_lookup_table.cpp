@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "starsim/psf.h"
 #include "support/error.h"
@@ -161,10 +163,58 @@ TEST(LookupTable, SubpixelEntriesShiftThePeak) {
   EXPECT_LT(table.at(0, 0, 2, c, c + 1), table.at(0, 0, 2, c, c - 1));
 }
 
-TEST(LookupTable, BuildRecordsWallTime) {
-  const LookupTable table = LookupTable::build(scene_with(10));
-  EXPECT_GE(table.build_wall_s(), 0.0);
-  EXPECT_LT(table.build_wall_s(), 5.0);
+// Every entry equals the per-entry formula float(brightness(bin) * rate),
+// bit for bit, over ROI sizes, PSF widths, both detector responses and the
+// paper's, the fine-survey and a multi-phase table geometry.
+TEST(LookupTable, EveryEntryMatchesDirectFormulaBitForBit) {
+  const LookupTableOptions geometries[] = {{1, 1}, {100, 2}, {4, 3}};
+  for (const int roi : {3, 8, 17, 32}) {
+    for (const double sigma : {0.3, 1.1, 2.4}) {
+      for (const bool integrate : {false, true}) {
+        for (const LookupTableOptions& options : geometries) {
+          SceneConfig scene = scene_with(roi, sigma);
+          scene.pixel_integration = integrate;
+          const LookupTable table = LookupTable::build(scene, options);
+          const GaussianPsf psf(sigma);
+          const int margin = table.margin();
+          const int phases = table.phases();
+          std::uint64_t checked = 0;
+          for (int bin = 0; bin < table.magnitude_bins(); ++bin) {
+            const double brightness =
+                scene.brightness.brightness(table.bin_magnitude(bin));
+            for (int py = 0; py < phases; ++py) {
+              for (int px = 0; px < phases; ++px) {
+                for (int row = 0; row < roi; ++row) {
+                  const double dy = (row - margin) - table.phase_center(py);
+                  for (int col = 0; col < roi; ++col) {
+                    const double dx =
+                        (col - margin) - table.phase_center(px);
+                    const double rate = integrate
+                                            ? psf.integrated_rate(dx, dy)
+                                            : psf.intensity_rate(dx, dy);
+                    const auto expected =
+                        std::bit_cast<std::uint32_t>(
+                            static_cast<float>(brightness * rate));
+                    const auto actual = std::bit_cast<std::uint32_t>(
+                        table.at(bin, px, py, row, col));
+                    ASSERT_EQ(actual, expected)
+                        << "roi " << roi << " sigma " << sigma
+                        << " integrate " << integrate << " bins/mag "
+                        << options.bins_per_magnitude << " phases "
+                        << phases << " at bin " << bin << " phase (" << px
+                        << ", " << py << ") offset (" << col << ", " << row
+                        << ")";
+                    ++checked;
+                  }
+                }
+              }
+            }
+          }
+          ASSERT_EQ(checked, table.entries());
+        }
+      }
+    }
+  }
 }
 
 TEST(LookupTable, RejectsBadOptions) {

@@ -128,7 +128,9 @@ TEST(TraceRecorder, ThreadsGetPrivateTidsAndMonotonicTimestamps) {
   std::map<std::uint32_t, int> depth;
   for (const TraceEvent& event : snapshot.events) {
     const auto it = last_ts.find(event.tid);
-    if (it != last_ts.end()) EXPECT_LE(it->second, event.ts_ns);
+    if (it != last_ts.end()) {
+      EXPECT_LE(it->second, event.ts_ns);
+    }
     last_ts[event.tid] = event.ts_ns;
     depth[event.tid] += event.phase == Phase::kBegin ? 1 : -1;
   }
